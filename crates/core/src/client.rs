@@ -1316,7 +1316,9 @@ fn build_lane_ctx(
     initial_credits: u32,
 ) -> Arc<ClientQpCtx> {
     let batch_limit = if cfg.coalescing { cfg.batch_limit } else { 1 };
-    let staging = node.acquire_mr(cfg.ring_capacity, Access::LOCAL);
+    // Staging mirrors the server's request ring, whose capacity the
+    // request producer lays messages out in — not our response ring's.
+    let staging = node.acquire_mr(req_remote.capacity, Access::LOCAL);
     Arc::new(ClientQpCtx {
         index,
         qp,

@@ -126,6 +126,13 @@ impl ServerQpCtx {
     fn next_canary(&self) -> u64 {
         0xC0DE_0000_0000_0001 + self.canary_seq.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Head debt: request-ring bytes consumed since the head was last
+    /// published to the client.
+    fn head_debt(&self) -> u64 {
+        let consumed = { self.req_cons.lock().head() };
+        consumed.saturating_sub(self.last_flushed_head.load(Ordering::Relaxed))
+    }
 }
 
 struct ServerConn {
@@ -163,6 +170,14 @@ struct ServerConn {
 pub struct ServerStats {
     /// Coalesced request messages received.
     pub messages: AtomicU64,
+    /// Response messages posted that carry at least one reply (head-only
+    /// and credit-control messages are not counted).
+    pub response_messages: AtomicU64,
+    /// Largest response message posted, encoded bytes.
+    pub peak_response_bytes: AtomicU64,
+    /// Largest head debt a response message paid off: request-ring bytes
+    /// consumed but not yet published to the client when it was posted.
+    pub peak_head_debt: AtomicU64,
     /// Individual RPC requests processed.
     pub requests: AtomicU64,
     /// Credit renewals granted.
@@ -178,6 +193,18 @@ impl ServerStats {
     /// Observed mean coalescing degree (requests per message).
     pub fn mean_coalescing_degree(&self) -> f64 {
         let m = self.messages.load(Ordering::Relaxed);
+        if m == 0 {
+            0.0
+        } else {
+            self.requests.load(Ordering::Relaxed) as f64 / m as f64
+        }
+    }
+
+    /// Observed mean response degree (requests per reply-carrying
+    /// response message). Exceeds the request-side degree when the
+    /// dispatcher answers several landed request messages at once.
+    pub fn mean_response_degree(&self) -> f64 {
+        let m = self.response_messages.load(Ordering::Relaxed);
         if m == 0 {
             0.0
         } else {
@@ -525,9 +552,9 @@ fn build_server_lane(
     let req_mr = inner
         .node
         .acquire_mr(inner.cfg.ring_capacity, Access::REMOTE_WRITE);
-    let staging = inner
-        .node
-        .acquire_mr(inner.cfg.ring_capacity, Access::LOCAL);
+    // Staging mirrors the client's response ring, whose capacity the
+    // response producer lays messages out in — not our request ring's.
+    let staging = inner.node.acquire_mr(response_ring.capacity, Access::LOCAL);
     // Post receive slots for credit-renewal write-with-imm.
     for _ in 0..inner.cfg.imm_recv_depth {
         qp.post_recv(RecvWr {
@@ -788,19 +815,18 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
 /// `B` from a bare `&[]`).
 const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
 
-/// One request-dispatcher worker: polls the request rings of the
-/// connections assigned to it, runs handlers, coalesces responses per
-/// message, and piggybacks the consumed head.
-///
-/// With `cfg.dispatch_threads == 1` (the default) a single worker owns
-/// every connection — the seed's single-dispatcher behaviour. With more
-/// workers each owns a disjoint partition of connections, re-cut by the
-/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
 /// Sweep period on which dispatchers still probe *deactivated* QPs (see
 /// [`ServerQpCtx::active`]): bounded drain latency for in-flight requests
 /// without paying an empty ring probe per inactive QP per sweep.
 const INACTIVE_POLL_PERIOD: u64 = 16;
 
+/// One request-dispatcher worker: sweeps the request rings of the
+/// connections assigned to it, visiting each lane with [`drain_lane`].
+///
+/// With `cfg.dispatch_threads == 1` a single worker owns every
+/// connection — the seed's single-dispatcher behaviour. With more
+/// workers each owns a disjoint partition of connections, re-cut by the
+/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
 fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // Generation-stamped partition snapshot: cloning the `Arc` vector on
     // every sweep made each idle poll O(conns) in refcount traffic; the
@@ -816,7 +842,7 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // clones the table only when that moves.
     let mut handlers: HashMap<u32, Handler> = HashMap::new();
     let mut handlers_seen = u64::MAX;
-    // Response scratch, reused across messages (cleared, not freed).
+    // Response scratch, reused across visits (cleared, not freed).
     let mut responses: Vec<(EntryMeta, Vec<u8>)> = Vec::new();
     // Send-CQ drain scratch: batched poll, one sync edge per sweep.
     let mut drained: Vec<flock_fabric::Completion> = Vec::new();
@@ -872,92 +898,8 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
                 {
                     continue;
                 }
-                let polled = { qp.req_cons.lock().poll(&qp.req_mr) };
-                match polled {
-                    Ok(Some(m)) => {
-                        progressed = true;
-                        clock::charge(inner.cost.cpu_ring_poll_ns);
-                        let view = m.view();
-                        qp.client_resp_head
-                            .fetch_max(view.header.head, Ordering::AcqRel);
-                        inner.stats.messages.fetch_add(1, Ordering::Relaxed);
-                        responses.clear();
-                        let mut entries = 0u64;
-                        for (meta, range) in view.entry_ranges() {
-                            entries += 1;
-                            inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = handlers.get(&meta.rpc_id) {
-                                clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
-                                // The handler's output Vec is the one
-                                // per-request allocation the server keeps:
-                                // the `Handler` signature owns its result.
-                                let out = h(&m.bytes()[range]);
-                                responses.push((
-                                    EntryMeta {
-                                        len: out.len() as u32,
-                                        thread_id: meta.thread_id,
-                                        seq: meta.seq,
-                                        rpc_id: 0,
-                                    },
-                                    out,
-                                ));
-                            } else {
-                                clock::charge(inner.cost.cpu_codec_ns);
-                                let _ = inner.manual_tx.send(IncomingRpc {
-                                    rpc_id: meta.rpc_id,
-                                    // Zero-copy slice of the shared
-                                    // request-message buffer.
-                                    data: m.bytes().slice(range),
-                                    token: RpcToken {
-                                        conn: conn_idx,
-                                        qp: qp_idx,
-                                        meta,
-                                    },
-                                });
-                            }
-                        }
-                        // Per-tenant accounting: lock-free Relaxed bumps
-                        // on the shared counter block (never through the
-                        // scheduler mutex).
-                        conn.counters.note_issued(entries);
-                        if !responses.is_empty() {
-                            // Responses coalesce into one message, like
-                            // requests (paper §4.3).
-                            if flush_response(inner, qp, &responses, 0, 0).is_ok() {
-                                conn.counters.note_completed(responses.len() as u64);
-                            }
-                        } else {
-                            // Manual-path-only message: nothing to send
-                            // now, but the consumed head must still reach
-                            // the client eventually. A head-only write
-                            // per polled message is redundant while the
-                            // client still sees plenty of free ring, so
-                            // defer until its view lags by a quarter
-                            // ring (head debt). Every data-carrying
-                            // flush republishes the head too, so once
-                            // debt crosses the threshold the next polled
-                            // message flushes it — the client's stale
-                            // view is bounded at cap/4 plus one message
-                            // and never wedges the producer.
-                            let consumed = { qp.req_cons.lock().head() };
-                            let flushed = qp.last_flushed_head.load(Ordering::Relaxed);
-                            if consumed.saturating_sub(flushed)
-                                >= (inner.cfg.ring_capacity as u64) / 4
-                            {
-                                let _ = flush_response(inner, qp, NO_RESPONSES, 0, 0);
-                            } else {
-                                inner.stats.head_flushes_skipped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        clock::charge(inner.cost.cpu_poll_empty_ns);
-                    }
-                    Err(_) => {
-                        // Corrupt request ring: drop the message stream.
-                        progressed = true;
-                    }
-                }
+                progressed |=
+                    drain_lane(inner, conn_idx, conn, qp_idx, qp, &handlers, &mut responses);
             }
         }
         if progressed {
@@ -970,6 +912,141 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
             idler.idle();
         }
     }
+}
+
+/// One dispatcher visit to a lane (paper §4.3): poll every request
+/// message already landed in its ring, run the handlers, and answer the
+/// whole backlog with one coalesced response — one doorbell and one head
+/// piggyback per visit instead of one per request message.
+///
+/// The drain is bounded by a quarter ring, the same bound the head-debt
+/// deferral uses: a reply that would grow the batch past a quarter of the
+/// response ring posts the batch first, and the visit ends after that
+/// message, or once the consumed-but-unpublished request bytes reach a
+/// quarter of the request ring. Every response message therefore fits
+/// its ring with room to spare, the client's view of the request head
+/// lags by at most a quarter ring plus one message, and one busy lane
+/// cannot monopolize its dispatcher. `conn_idx`/`qp_idx` locate the lane
+/// for the manual path's [`RpcToken`]. Returns whether the visit consumed
+/// anything.
+fn drain_lane(
+    inner: &ServerInner,
+    conn_idx: usize,
+    conn: &ServerConn,
+    qp_idx: usize,
+    qp: &ServerQpCtx,
+    handlers: &HashMap<u32, Handler>,
+    responses: &mut Vec<(EntryMeta, Vec<u8>)>,
+) -> bool {
+    let head_quarter = (inner.cfg.ring_capacity as u64) / 4;
+    let batch_bound = inner.cfg.ring_capacity.min(qp.resp_remote.capacity) / 4;
+    let empty_batch = msg::encoded_size(std::iter::empty());
+    let mut batch = empty_batch;
+    let mut progressed = false;
+    responses.clear();
+    loop {
+        let polled = { qp.req_cons.lock().poll(&qp.req_mr) };
+        let m = match polled {
+            Ok(Some(m)) => m,
+            Ok(None) => {
+                clock::charge(inner.cost.cpu_poll_empty_ns);
+                break;
+            }
+            Err(_) => {
+                // Corrupt request ring: drop the message stream.
+                progressed = true;
+                break;
+            }
+        };
+        progressed = true;
+        clock::charge(inner.cost.cpu_ring_poll_ns);
+        let view = m.view();
+        qp.client_resp_head
+            .fetch_max(view.header.head, Ordering::AcqRel);
+        inner.stats.messages.fetch_add(1, Ordering::Relaxed);
+        // Per-tenant accounting: lock-free Relaxed bumps on the shared
+        // counter block (never through the scheduler mutex), issued
+        // before any of these requests can complete below.
+        conn.counters.note_issued(u64::from(view.header.count));
+        let mut full = false;
+        for (meta, range) in view.entry_ranges() {
+            inner.stats.requests.fetch_add(1, Ordering::Relaxed);
+            if let Some(h) = handlers.get(&meta.rpc_id) {
+                clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
+                // The handler's output Vec is the one per-request
+                // allocation the server keeps: the `Handler` signature
+                // owns its result.
+                let out = h(&m.bytes()[range]);
+                let grow = msg::META_SIZE + out.len();
+                if !responses.is_empty() && batch + grow > batch_bound {
+                    flush_responses(inner, conn, qp, responses);
+                    batch = empty_batch;
+                    full = true;
+                }
+                batch += grow;
+                responses.push((
+                    EntryMeta {
+                        len: out.len() as u32,
+                        thread_id: meta.thread_id,
+                        seq: meta.seq,
+                        rpc_id: 0,
+                    },
+                    out,
+                ));
+            } else {
+                clock::charge(inner.cost.cpu_codec_ns);
+                let _ = inner.manual_tx.send(IncomingRpc {
+                    rpc_id: meta.rpc_id,
+                    // Zero-copy slice of the shared request-message
+                    // buffer.
+                    data: m.bytes().slice(range),
+                    token: RpcToken {
+                        conn: conn_idx,
+                        qp: qp_idx,
+                        meta,
+                    },
+                });
+            }
+        }
+        if full || qp.head_debt() >= head_quarter {
+            break;
+        }
+    }
+    if !responses.is_empty() {
+        flush_responses(inner, conn, qp, responses);
+    } else if progressed {
+        // Manual-path-only visit: nothing to send now, but the consumed
+        // head must still reach the client eventually. A head-only write
+        // per visit is redundant while the client still sees plenty of
+        // free ring, so defer until its view lags by a quarter ring (head
+        // debt). Every data-carrying flush republishes the head too, and
+        // the drain above stops once the debt reaches the threshold, so
+        // the client's stale view is bounded at cap/4 plus one message
+        // and never wedges the producer.
+        if qp.head_debt() >= head_quarter {
+            let _ = flush_response(inner, qp, NO_RESPONSES, 0, 0);
+        } else {
+            inner
+                .stats
+                .head_flushes_skipped
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    progressed
+}
+
+/// Post a visit's handler replies as one coalesced response message
+/// (paper §4.3) and leave the batch empty.
+fn flush_responses(
+    inner: &ServerInner,
+    conn: &ServerConn,
+    qp: &ServerQpCtx,
+    responses: &mut Vec<(EntryMeta, Vec<u8>)>,
+) {
+    if flush_response(inner, qp, responses, 0, 0).is_ok() {
+        conn.counters.note_completed(responses.len() as u64);
+    }
+    responses.clear();
 }
 
 /// Encode and post one coalesced response message on `qp`.
@@ -1070,10 +1147,22 @@ fn flush_response<B: AsRef<[u8]>>(
         wr = wr.unsignaled();
     }
     qp.qp.post_send(wr)?;
+    let stats = &inner.stats;
+    if !responses.is_empty() {
+        stats.response_messages.fetch_add(1, Ordering::Relaxed);
+        stats
+            .peak_response_bytes
+            .fetch_max(need as u64, Ordering::Relaxed);
+    }
     // Every response message piggybacks the consumed head; remember the
     // last one published so dispatchers can elide redundant head-only
     // writes (`fetch_max`: concurrent flushers never move it backwards).
-    qp.last_flushed_head.fetch_max(consumed_head, Ordering::Relaxed);
+    let published = qp
+        .last_flushed_head
+        .fetch_max(consumed_head, Ordering::Relaxed);
+    stats
+        .peak_head_debt
+        .fetch_max(consumed_head.saturating_sub(published), Ordering::Relaxed);
     // Host cost of staging the message and ringing the doorbell.
     clock::charge(inner.cost.cpu_doorbell_ns + inner.cost.memcpy_time(need).as_nanos());
     Ok(())
