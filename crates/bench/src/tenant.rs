@@ -447,10 +447,12 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         let domain = Arc::new(FlockDomain::new(elastic_fabric()));
         let server_node = domain.add_node("ten-int-srv");
         let mut scfg = ServerConfig::default();
-        // One dispatch worker per connection, so the LPT re-cut after a
-        // cap change can fully separate the aggressor's connection from
-        // the victims' (with fewer workers, some victim always shares a
-        // worker with the aggressor's deep coalesced batches).
+        // Four dispatch workers for the four connections (three victim
+        // tenants, one aggressor). Placement is per lane: each
+        // connection's lanes stride across the workers from its base
+        // (`flock_core::lane_worker`), so the aggressor's six lanes reach
+        // every worker, and what shields the victims is the cap on how
+        // many of those lanes stay active, not the partition.
         scfg.dispatch_threads = 4;
         scfg.sched.max_aqp = w.max_aqp;
         scfg.sched_interval = Duration::from_micros(100);

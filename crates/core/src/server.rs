@@ -41,10 +41,10 @@ pub struct ServerConfig {
     pub signal_every: u64,
     /// Blocking-wait timeout.
     pub timeout: Duration,
-    /// Dispatcher worker threads. Each owns a disjoint partition of
-    /// connections (rebalanced when the QP scheduler redistributes active
-    /// QPs); `1` is the single-dispatcher degenerate case. Defaults to
-    /// [`auto_dispatch_threads`].
+    /// Dispatcher worker threads. Each owns a disjoint set of lanes
+    /// (re-cut when the QP scheduler redistributes active QPs; see
+    /// [`lane_worker`]); `1` is the single-dispatcher degenerate case.
+    /// Defaults to [`auto_dispatch_threads`].
     pub dispatch_threads: usize,
 }
 
@@ -146,8 +146,10 @@ struct ServerConn {
     /// registry at accept time so the dispatch hot path bumps per-tenant
     /// issued/completed statistics without any lock.
     counters: Arc<TenantCounters>,
-    /// Send CQ shared by this connection's QPs (drained once per
-    /// dispatcher sweep).
+    /// Send CQ shared by this connection's QPs. Drained once per sweep
+    /// by every dispatcher that owns one of the connection's lanes
+    /// (sibling lanes may sit on different workers; the CQ is MPMC and
+    /// the drained completions are discarded).
     send_cq: Arc<CompletionQueue>,
     /// The connection's QP lanes. Behind a lock because lanes attach
     /// lazily (`CtrlMsg::Attach`) and leave in one batch at detach;
@@ -231,9 +233,11 @@ struct ServerInner {
     /// polled message.
     handlers_gen: AtomicU64,
     conns: RwLock<Vec<Arc<ServerConn>>>,
-    /// Connection → dispatcher-worker assignment, indexed by connection
+    /// Connection → *base* dispatcher worker, indexed by connection
     /// slot. Seeded round-robin at accept time and rebalanced by the QP
     /// scheduler using active-QP weights (see `rebalance_dispatch`).
+    /// Lane 0 runs on the base; sibling lanes stride across the other
+    /// workers (see [`lane_worker`]).
     dispatch_assign: RwLock<Vec<usize>>,
     /// Topology generation: bumped (under the respective write lock)
     /// whenever connection membership *or* the dispatcher assignment
@@ -820,21 +824,28 @@ const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
 /// without paying an empty ring probe per inactive QP per sweep.
 const INACTIVE_POLL_PERIOD: u64 = 16;
 
-/// One request-dispatcher worker: sweeps the request rings of the
-/// connections assigned to it, visiting each lane with [`drain_lane`].
+/// A dispatcher's partition snapshot entry: connection slot, the
+/// connection, and the lanes of it this worker owns, each with its true
+/// lane index (the manual path's [`RpcToken`] names lanes by index).
+type ConnShard = (usize, Arc<ServerConn>, Vec<(usize, Arc<ServerQpCtx>)>);
+
+/// One request-dispatcher worker: sweeps the request rings of the lanes
+/// assigned to it, visiting each with [`drain_lane`].
 ///
-/// With `cfg.dispatch_threads == 1` a single worker owns every
-/// connection — the seed's single-dispatcher behaviour. With more
-/// workers each owns a disjoint partition of connections, re-cut by the
-/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
+/// With `cfg.dispatch_threads == 1` a single worker owns every lane —
+/// the seed's single-dispatcher behaviour. With more workers each owns
+/// a disjoint set of lanes: every connection has a base worker, re-cut
+/// by the QP scheduler as active-QP weights shift (`rebalance_dispatch`),
+/// and its lanes stride across workers from that base ([`lane_worker`]).
 fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // Generation-stamped partition snapshot: cloning the `Arc` vector on
     // every sweep made each idle poll O(conns) in refcount traffic; the
     // snapshot is refreshed only when `accept_one`, `attach_one`,
     // `detach_one` or the rebalancer publishes a new topology
-    // generation. Each entry carries its lane list so the sweep never
+    // generation. Each entry carries its owned lanes so the sweep never
     // touches `conn.qps`' lock.
-    let mut conns: Vec<(usize, Arc<ServerConn>, Vec<Arc<ServerQpCtx>>)> = Vec::new();
+    let workers = inner.cfg.dispatch_threads.max(1);
+    let mut conns: Vec<ConnShard> = Vec::new();
     let mut conns_seen = u64::MAX;
     // Handler snapshot, same gen-stamped scheme: the seed took
     // `handlers.read()` per polled message, putting a shared rwlock on
@@ -866,11 +877,18 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
             conns = all
                 .iter()
                 .enumerate()
-                .filter(|(idx, c)| {
-                    assign.get(*idx).copied().unwrap_or(0) == worker
-                        && !c.departed.load(Ordering::Relaxed)
+                .filter(|(_, c)| !c.departed.load(Ordering::Relaxed))
+                .filter_map(|(idx, c)| {
+                    let base = assign.get(idx).copied().unwrap_or(0);
+                    let lanes = c.qps.read();
+                    let owned: Vec<_> = lanes
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| lane_worker(base, *i, lanes.len(), workers) == worker)
+                        .map(|(i, qp)| (i, Arc::clone(qp)))
+                        .collect();
+                    (!owned.is_empty()).then(|| (idx, Arc::clone(c), owned))
                 })
-                .map(|(idx, c)| (idx, Arc::clone(c), c.qps.read().clone()))
                 .collect();
             conns_seen = gen;
             // Quiescence ack: once this store is visible, no departed
@@ -887,12 +905,10 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
         for &(conn_idx, ref conn, ref qps) in conns.iter() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
-            // the connection's QPs).
-            if !qps.is_empty() {
-                drained.clear();
-                conn.send_cq.poll(&mut drained, usize::MAX);
-            }
-            for (qp_idx, qp) in qps.iter().enumerate() {
+            // the connection's QPs, and by every worker owning one).
+            drained.clear();
+            conn.send_cq.poll(&mut drained, usize::MAX);
+            for &(qp_idx, ref qp) in qps.iter() {
                 // Deactivated QPs drain at a reduced probe rate.
                 if !qp.active.load(Ordering::Relaxed) && !sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
                 {
@@ -1300,9 +1316,10 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Re-cut the connection → dispatcher-worker partition using active-QP
-/// weights from the scheduler: heaviest connections first, each placed
-/// on the least-loaded worker (greedy LPT binning). No-op with a single
+/// Re-cut the connection → base-worker map using active-QP weights from
+/// the scheduler: heaviest connections first, each placed on the
+/// least-loaded worker (greedy LPT binning); each connection's lanes
+/// then stride from its base ([`lane_worker`]). No-op with a single
 /// worker. Publishes a new topology generation only when the assignment
 /// actually changes.
 fn rebalance_dispatch(inner: &ServerInner) {
@@ -1339,6 +1356,16 @@ fn rebalance_dispatch(inner: &ServerInner) {
         // assignment sees a consistent partition.
         inner.topo_gen.fetch_add(1, Ordering::Release);
     }
+}
+
+/// Dispatcher worker of lane `lane` of a connection with `lanes` lanes
+/// whose base worker is `base`: `(base + ⌊lane·workers/lanes⌋) mod
+/// workers`. Lane 0 always runs on the base, so single-lane connections
+/// keep the connection-granular partition; with `lanes ≤ workers` the
+/// lanes land on distinct workers. `workers` is clamped to at least 1.
+pub fn lane_worker(base: usize, lane: usize, lanes: usize, workers: usize) -> usize {
+    let workers = workers.max(1);
+    (base + lane * workers / lanes.max(1)) % workers
 }
 
 /// Greedy LPT binning: place each item, heaviest first (ties broken by

@@ -1,11 +1,13 @@
 //! Property tests for the greedy-LPT dispatch partition
 //! (`flock_core::lpt_partition`), the function behind
-//! `rebalance_dispatch`. The invariants here are what the sharded
-//! receive path relies on: every connection lands on exactly one
+//! `rebalance_dispatch`, and for the lane placement built on it
+//! (`flock_core::lane_worker`). The invariants here are what the sharded
+//! receive path relies on: every connection lands on exactly one base
 //! worker, no out-of-range worker index (even when workers exceed
-//! connections or are zero), and the classic LPT load bound holds.
+//! connections or are zero), the classic LPT load bound holds, and a
+//! connection's lanes spread from its base across distinct workers.
 
-use flock_core::lpt_partition;
+use flock_core::{lane_worker, lpt_partition};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -77,5 +79,57 @@ proptest! {
             lpt_partition(&weights, workers),
             lpt_partition(&weights, workers)
         );
+    }
+
+    /// Every lane lands on an in-range worker, whatever the base and
+    /// lane count (zero workers clamp to one).
+    #[test]
+    fn lane_worker_is_in_range(
+        base in 0usize..64,
+        lanes in 1usize..64,
+        workers in 0usize..32,
+        pick in 0usize..64,
+    ) {
+        let w = lane_worker(base, pick % lanes, lanes, workers);
+        prop_assert!(w < workers.max(1), "worker {} out of range {}", w, workers.max(1));
+    }
+
+    /// Lane 0 runs on the base worker, so single-lane connections keep
+    /// the connection-granular partition exactly.
+    #[test]
+    fn lane_zero_is_the_base(
+        workers in 1usize..32,
+        base_pick in 0usize..32,
+        lanes in 1usize..64,
+    ) {
+        let base = base_pick % workers;
+        prop_assert_eq!(lane_worker(base, 0, lanes, workers), base);
+    }
+
+    /// With no more lanes than workers, a connection's lanes land on
+    /// distinct workers: no two of its lanes share a dispatcher.
+    #[test]
+    fn lanes_spread_over_distinct_workers(
+        workers in 1usize..32,
+        base_pick in 0usize..32,
+        lanes_pick in 1usize..32,
+    ) {
+        let base = base_pick % workers;
+        let lanes = 1 + (lanes_pick - 1) % workers;
+        let mut seen = std::collections::HashSet::new();
+        for lane in 0..lanes {
+            let w = lane_worker(base, lane, lanes, workers);
+            prop_assert!(seen.insert(w), "lane {} reuses worker {}", lane, w);
+        }
+    }
+
+    /// One worker owns everything.
+    #[test]
+    fn single_worker_takes_every_lane(
+        base in 0usize..8,
+        lanes in 1usize..64,
+        pick in 0usize..64,
+    ) {
+        prop_assert_eq!(lane_worker(base, pick % lanes, lanes, 1), 0);
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! What this exercises that `flock_e2e.rs` does not:
 //!
-//! * `ServerConfig::dispatch_threads > 1` — connections are partitioned
-//!   across dispatcher workers, and the partition is re-cut whenever the
-//!   QP scheduler redistributes active QPs mid-run.
+//! * `ServerConfig::dispatch_threads > 1` — lanes are partitioned
+//!   across dispatcher workers (each connection's lanes stride from its
+//!   base worker), and the partition is re-cut whenever the QP
+//!   scheduler redistributes active QPs mid-run.
 //! * `FabricConfig::nic_lanes > 1` — request and response DMA for
 //!   different QPs executes on different engine lanes concurrently.
 //! * Cross-connection isolation — every response must answer its own

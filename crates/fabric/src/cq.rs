@@ -514,11 +514,19 @@ mod tests {
 
     #[test]
     fn per_producer_order_is_fifo_on_the_fast_path() {
-        // One producer, one consumer, ring never full: strict FIFO.
-        let cq = CompletionQueue::new(256);
-        let cq2 = Arc::clone(&cq);
+        // One producer, one consumer, ring never full: strict FIFO. FIFO
+        // across the spill lane is not promised, so the producer keeps
+        // its lead over the consumer below the ring's 256 entries: it
+        // waits while one more push could fill the ring.
+        const CAP: u64 = 256;
+        let cq = CompletionQueue::new(CAP as usize);
+        let consumed = Arc::new(AtomicU64::new(0));
+        let (cq2, consumed2) = (Arc::clone(&cq), Arc::clone(&consumed));
         let t = std::thread::spawn(move || {
             for i in 0..10_000u64 {
+                while i - consumed2.load(Ordering::Acquire) >= CAP {
+                    std::thread::yield_now();
+                }
                 cq2.push(comp(i));
             }
         });
@@ -531,10 +539,15 @@ mod tests {
                 assert_eq!(c.wr_id.0, next);
                 next += 1;
             }
+            consumed.store(next, Ordering::Release);
             if n == 0 {
                 std::hint::spin_loop();
             }
         }
+        assert!(
+            cq.high_water() <= CAP as usize,
+            "ring filled: the spill lane was used"
+        );
         t.join().unwrap();
     }
 }
