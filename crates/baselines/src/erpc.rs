@@ -17,7 +17,7 @@ use flock_sync::clock::TaskHandle;
 use flock_fabric::{
     Access, MemoryRegion, Node, NodeId, QpNum, RecvWr, SendWr, Sge, Transport, WrId, GRH_BYTES,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Packet header: kind, rpc id, thread, seq, fragment index/count, length.
 const PKT_HDR: usize = 1 + 4 + 4 + 8 + 2 + 2 + 4;
@@ -443,56 +443,27 @@ impl UdThread<'_> {
         };
         send();
         let deadline = clock::deadline(c.ep.cfg.timeout);
+        let mut rto = clock::deadline(c.ep.cfg.rto);
         let mut retries = 0;
-        if clock::is_virtual() {
-            // Poll in virtual time (a condvar wait would park the lab's
-            // one runnable OS thread); the lock is dropped across each
-            // sleep so the worker can deliver.
-            let mut rto = clock::deadline(c.ep.cfg.rto);
-            loop {
-                if let Some(resp) = c.shared.inboxes.lock().remove(&key) {
-                    return Ok(resp);
-                }
-                if clock::expired(deadline) {
-                    return Err("rpc timed out");
-                }
-                if clock::expired(rto) {
-                    retries += 1;
-                    if retries > c.ep.cfg.max_retries {
-                        return Err("too many retransmissions");
-                    }
-                    c.retransmissions.fetch_add(1, Ordering::Relaxed);
-                    send();
-                    rto = clock::deadline(c.ep.cfg.rto);
-                }
-                clock::sleep_ns(500);
-            }
-        }
+        let mut inboxes = c.shared.inboxes.lock();
         loop {
-            let mut inboxes = c.shared.inboxes.lock();
             if let Some(resp) = inboxes.remove(&key) {
                 return Ok(resp);
             }
-            let timed_out = c
-                .shared
-                .cond
-                .wait_for(&mut inboxes, c.ep.cfg.rto)
-                .timed_out();
-            if let Some(resp) = inboxes.remove(&key) {
-                return Ok(resp);
-            }
-            drop(inboxes);
             if clock::expired(deadline) {
                 return Err("rpc timed out");
             }
-            if timed_out {
+            if clock::expired(rto) {
                 retries += 1;
                 if retries > c.ep.cfg.max_retries {
                     return Err("too many retransmissions");
                 }
                 c.retransmissions.fetch_add(1, Ordering::Relaxed);
-                send();
+                // Post without the inbox lock so the worker can deliver.
+                MutexGuard::unlocked(&mut inboxes, send);
+                rto = clock::deadline(c.ep.cfg.rto);
             }
+            clock::wait_until(&c.shared.cond, &mut inboxes, rto.min(deadline), 500);
         }
     }
 }

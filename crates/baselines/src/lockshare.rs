@@ -242,19 +242,7 @@ impl LockThread {
                 if self.inner.stop.load(Ordering::Relaxed) {
                     return Err(FlockError::Disconnected);
                 }
-                if clock::is_virtual() {
-                    // A condvar wait would park the lab's one runnable
-                    // OS thread; poll in virtual time with the lane
-                    // unlocked so the dispatcher can grant credits.
-                    if clock::expired(deadline) {
-                        return Err(FlockError::Timeout);
-                    }
-                    parking_lot::MutexGuard::unlocked(&mut lane, || clock::sleep_ns(500));
-                } else if qp
-                    .lane_cond
-                    .wait_for(&mut lane, remaining(deadline))
-                    .timed_out()
-                {
+                if clock::wait_until(&qp.lane_cond, &mut lane, deadline, 500) {
                     return Err(FlockError::Timeout);
                 }
             }
@@ -335,20 +323,6 @@ impl LockThread {
         }
 
         // ---- Wait for the response outside the lock. ----
-        if clock::is_virtual() {
-            loop {
-                if let Some(data) = self.slot.inbox.lock().remove(&seq) {
-                    return Ok(data);
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
-            }
-        }
         let mut inbox = self.slot.inbox.lock();
         loop {
             if let Some(data) = inbox.remove(&seq) {
@@ -357,21 +331,11 @@ impl LockThread {
             if self.inner.stop.load(Ordering::Relaxed) {
                 return Err(FlockError::Disconnected);
             }
-            if self
-                .slot
-                .cond
-                .wait_for(&mut inbox, remaining(deadline))
-                .timed_out()
-            {
+            if clock::wait_until(&self.slot.cond, &mut inbox, deadline, 500) {
                 return Err(FlockError::Timeout);
             }
         }
     }
-}
-
-/// Wall- or virtual-clock time left until an absolute [`clock::deadline`].
-fn remaining(deadline_ns: u64) -> Duration {
-    Duration::from_nanos(deadline_ns.saturating_sub(clock::now_ns()))
 }
 
 fn send_credit_request(qp: &QpCtx) {

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
@@ -723,25 +723,7 @@ impl FlThread {
     /// response message; it keeps that message's buffer alive until
     /// dropped.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
-        if clock::is_virtual() {
-            // Poll in virtual time (condvars would park the lab's one
-            // runnable OS thread); the lock is dropped across each sleep.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(data) = self.ctx.inbox.lock().remove(&seq) {
-                    self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
-                    return Ok(data);
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
-            }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
+        let deadline = clock::deadline(self.inner.cfg.timeout);
         let mut inbox = self.ctx.inbox.lock();
         loop {
             if let Some(data) = inbox.remove(&seq) {
@@ -751,12 +733,7 @@ impl FlThread {
             if self.inner.stop.load(Ordering::Relaxed) {
                 return Err(FlockError::Disconnected);
             }
-            if self
-                .ctx
-                .inbox_cond
-                .wait_until(&mut inbox, deadline)
-                .timed_out()
-            {
+            if clock::wait_until(&self.ctx.inbox_cond, &mut inbox, deadline, 500) {
                 return Err(FlockError::Timeout);
             }
         }
@@ -992,24 +969,7 @@ impl FlThread {
 
     /// Block until an in-flight one-sided op completes.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
-        if clock::is_virtual() {
-            // Virtual-time poll; see `recv_res`.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
-                    return r.map_err(FlockError::RemoteOpFailed);
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    // Abandon: free the scratch when the completion arrives.
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
-            }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
+        let deadline = clock::deadline(self.inner.cfg.timeout);
         let mut results = self.ctx.mem_results.lock();
         loop {
             if let Some(r) = results.remove(&token.wr_id) {
@@ -1018,12 +978,7 @@ impl FlThread {
             if self.inner.stop.load(Ordering::Relaxed) {
                 return Err(FlockError::Disconnected);
             }
-            if self
-                .ctx
-                .mem_cond
-                .wait_until(&mut results, deadline)
-                .timed_out()
-            {
+            if clock::wait_until(&self.ctx.mem_cond, &mut results, deadline, 500) {
                 // Abandon: free the scratch when the completion arrives.
                 return Err(FlockError::Timeout);
             }
@@ -1225,23 +1180,7 @@ impl FlThread {
     /// Outer `Err` is a local failure (timeout/disconnect); the inner
     /// result is the remote completion status.
     fn wait_marker(&self, token: MemToken) -> Result<std::result::Result<(), &'static str>> {
-        if clock::is_virtual() {
-            // Virtual-time poll; see `recv_res`.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
-                    return Ok(r.map(|_| ()));
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return self.abandon_deferred(token);
-                }
-                clock::sleep_ns(500);
-            }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
+        let deadline = clock::deadline(self.inner.cfg.timeout);
         let mut results = self.ctx.mem_results.lock();
         loop {
             if let Some(r) = results.remove(&token.wr_id) {
@@ -1250,12 +1189,7 @@ impl FlThread {
             if self.inner.stop.load(Ordering::Relaxed) {
                 return Err(FlockError::Disconnected);
             }
-            if self
-                .ctx
-                .mem_cond
-                .wait_until(&mut results, deadline)
-                .timed_out()
-            {
+            if clock::wait_until(&self.ctx.mem_cond, &mut results, deadline, 500) {
                 drop(results);
                 return self.abandon_deferred(token);
             }
@@ -1623,8 +1557,7 @@ fn flush_parts(
 
 /// Consume `n` credits, requesting renewal when at half (paper §5.1).
 fn wait_for_credits(inner: &HandleInner, qp: &ClientQpCtx, n: u32) -> Result<()> {
-    let deadline = Instant::now() + inner.cfg.timeout;
-    let vdeadline = clock::deadline(inner.cfg.timeout);
+    let deadline = clock::deadline(inner.cfg.timeout);
     loop {
         let mut send_renewal = false;
         {
@@ -1650,21 +1583,7 @@ fn wait_for_credits(inner: &HandleInner, qp: &ClientQpCtx, n: u32) -> Result<()>
                 if inner.stop.load(Ordering::Relaxed) {
                     return Err(FlockError::Disconnected);
                 }
-                if clock::is_virtual() {
-                    // Virtual-time poll for the grant instead of a condvar
-                    // park (which would stall the serialized lab).
-                    drop(credits);
-                    if clock::expired(vdeadline) {
-                        return Err(FlockError::Timeout);
-                    }
-                    clock::sleep_ns(1_000);
-                    continue;
-                }
-                if qp
-                    .credit_cond
-                    .wait_until(&mut credits, deadline)
-                    .timed_out()
-                {
+                if clock::wait_until(&qp.credit_cond, &mut credits, deadline, 1_000) {
                     return Err(FlockError::Timeout);
                 }
                 continue;

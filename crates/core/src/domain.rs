@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flock_fabric::{Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
-use flock_sync::AdaptiveBackoff;
+use flock_sync::{clock, AdaptiveBackoff};
 use parking_lot::Mutex;
 
 use crate::error::{FlockError, Result};
@@ -186,6 +186,8 @@ pub enum CtrlMsg {
     Detach(DetachRequest),
     /// Fetch the server's exported one-sided segment leases.
     Export(ExportRequest),
+    /// Stop the server's accept loop (sent by its `shutdown`).
+    Shutdown,
 }
 
 /// The in-process "datacenter": a fabric plus a server name registry.
@@ -224,9 +226,10 @@ impl FlockDomain {
         self.listeners.lock().insert(name.to_string(), tx);
     }
 
-    /// Remove a listener (server shutdown).
-    pub(crate) fn unregister_listener(&self, name: &str) {
-        self.listeners.lock().remove(name);
+    /// Remove a listener (server shutdown), returning its control
+    /// channel.
+    pub(crate) fn unregister_listener(&self, name: &str) -> Option<Sender<CtrlMsg>> {
+        self.listeners.lock().remove(name)
     }
 
     /// Look up the control channel of the named server. Clients hold on
@@ -257,28 +260,16 @@ impl FlockDomain {
     }
 }
 
-/// Await a control-plane reply without parking the virtual-time
-/// executor's one OS thread.
+/// Await a control-plane reply.
 ///
-/// The wall path blocks on the channel. The virtual path polls through
-/// an [`AdaptiveBackoff`] ladder: a connect storm runs hundreds of
-/// dialers concurrently, and a fixed fine-grained poll period would
-/// multiply the event count by the storm width while a reply is still
-/// tens of microseconds of control-QP work away.
+/// In the lab the wait polls through an [`AdaptiveBackoff`] ladder: a
+/// connect storm runs hundreds of dialers concurrently, and a fixed
+/// fine-grained poll period would multiply the event count by the storm
+/// width while a reply is still tens of microseconds of control-QP work
+/// away.
 pub(crate) fn await_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
-    if flock_sync::clock::is_virtual() {
-        let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
-        loop {
-            match rx.try_recv() {
-                Ok(reply) => return reply,
-                Err(crossbeam::channel::TryRecvError::Empty) => idle.idle(),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Err(FlockError::Disconnected);
-                }
-            }
-        }
-    }
-    rx.recv().map_err(|_| FlockError::Disconnected)?
+    let ladder = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
+    clock::recv_until(rx, clock::NEVER, ladder).map_err(|_| FlockError::Disconnected)?
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use flock_fabric::{
     Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp, RecvWr,
     RemoteAddr, SendWr, Sge, Transport, WrId,
@@ -392,24 +392,7 @@ impl FlockServer {
 
     /// Pull a request with no registered handler (`fl_recv_rpc`).
     pub fn recv_rpc(&self, timeout: Duration) -> Option<IncomingRpc> {
-        if clock::is_virtual() {
-            // Poll in virtual time; a blocking `recv_timeout` would stall
-            // the whole serialized lab on this one OS thread.
-            let deadline = clock::deadline(timeout);
-            loop {
-                match self.inner.manual_rx.try_recv() {
-                    Ok(rpc) => return Some(rpc),
-                    Err(TryRecvError::Disconnected) => return None,
-                    Err(TryRecvError::Empty) => {
-                        if clock::expired(deadline) {
-                            return None;
-                        }
-                        clock::sleep_ns(1_000);
-                    }
-                }
-            }
-        }
-        self.inner.manual_rx.recv_timeout(timeout).ok()
+        clock::recv_until(&self.inner.manual_rx, clock::deadline(timeout), 1_000).ok()
     }
 
     /// Respond to a request obtained via [`FlockServer::recv_rpc`]
@@ -466,7 +449,10 @@ impl FlockServer {
 
     /// Stop all server threads and unregister from `domain`.
     pub fn shutdown(&self, domain: &FlockDomain) {
-        domain.unregister_listener(&self.name);
+        if let Some(ctrl) = domain.unregister_listener(&self.name) {
+            // The accept loop blocks on the control channel until this.
+            let _ = ctrl.send(CtrlMsg::Shutdown);
+        }
         self.inner.stop.store(true, Ordering::SeqCst);
         for h in self.threads.lock().drain(..) {
             let _ = h.join();
@@ -478,24 +464,7 @@ impl FlockServer {
 /// server side), lazy lane attach, and graceful detach — the server end
 /// of the out-of-band control channel.
 fn accept_loop(inner: &Arc<ServerInner>, rx: Receiver<CtrlMsg>) {
-    let virt = clock::is_virtual();
-    while !inner.stop.load(Ordering::Relaxed) {
-        let msg = if virt {
-            // Poll in virtual time instead of blocking the lab's core.
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => {
-                    clock::sleep_ns(5_000);
-                    continue;
-                }
-            }
-        } else {
-            let Ok(msg) = rx.recv_timeout(Duration::from_millis(50)) else {
-                continue;
-            };
-            msg
-        };
+    while let Ok(msg) = clock::recv_until(&rx, clock::NEVER, 5_000) {
         match msg {
             CtrlMsg::Connect(req) => {
                 let reply = accept_one(inner, &req);
@@ -538,6 +507,7 @@ fn accept_loop(inner: &Arc<ServerInner>, rx: Receiver<CtrlMsg>) {
                     .collect();
                 let _ = req.reply.send(Ok(ExportReply { segments }));
             }
+            CtrlMsg::Shutdown => return,
         }
     }
 }

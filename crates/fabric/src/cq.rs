@@ -57,7 +57,7 @@ use std::mem::MaybeUninit;
 use std::time::Duration;
 
 use flock_sync::atomic::{AtomicU64, Ordering};
-use flock_sync::{backoff, Arc, CachePadded, UnsafeCell};
+use flock_sync::{AdaptiveBackoff, Arc, CachePadded, UnsafeCell};
 use parking_lot::Mutex;
 
 use crate::verbs::Completion;
@@ -312,14 +312,13 @@ impl CompletionQueue {
     /// Block until a completion is available or `timeout` elapses.
     ///
     /// The seed used a condition variable; completions now arrive
-    /// lock-free, so this spins with the shared [`backoff`] ladder
-    /// (spin-hint with periodic OS yields) until the deadline. Under a
+    /// lock-free, so this polls on an [`AdaptiveBackoff`] ladder (spin,
+    /// yield, then sleeps of up to 100 µs) until the deadline. Under a
     /// virtual-time executor the deadline is virtual and each empty
-    /// round is a short virtual sleep instead of a spin.
+    /// round is a 500 ns virtual sleep.
     pub fn wait_one(&self, timeout: Duration) -> Option<Completion> {
         let deadline = flock_sync::clock::deadline(timeout);
-        let virtual_time = flock_sync::clock::is_virtual();
-        let mut spins = 0u32;
+        let mut idle = AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_period(500);
         loop {
             if let Some(c) = self.poll_one() {
                 return Some(c);
@@ -327,18 +326,7 @@ impl CompletionQueue {
             if flock_sync::clock::expired(deadline) {
                 return self.poll_one();
             }
-            if virtual_time {
-                flock_sync::clock::sleep_ns(500);
-                continue;
-            }
-            backoff(spins);
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(4096) {
-                // Long waits (tests use tens of ms) should not burn a
-                // core: after ~4k spin/yield rounds, sleep in short
-                // slices toward the deadline.
-                flock_sync::clock::sleep(Duration::from_micros(100));
-            }
+            idle.idle();
         }
     }
 

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use flock_sync::clock;
 use flock_sync::AdaptiveBackoff;
 use rand::rngs::SmallRng;
@@ -48,9 +48,9 @@ pub enum NicCmd {
         wr: SendWr,
     },
     /// A one-sided verb (READ / FetchAdd / CmpSwap) arriving at the
-    /// *responder* node's engine. In virtual time the requester lane
-    /// charges only the issue cost (WQE fetch + connection-state
-    /// lookup) and forwards the verb here, because the expensive half
+    /// *responder* node's engine. The requester lane charges only the
+    /// issue cost (WQE fetch + connection-state lookup) and forwards
+    /// the verb here, under both executors, because the expensive half
     /// of a one-sided op — fetching the payload over PCIe and
     /// generating the response — runs on the responder NIC's
     /// processing units and competes with every other client's verbs
@@ -105,6 +105,13 @@ impl NicStats {
 /// fabric (a cooperatively scheduled virtual core under
 /// `flock_sim::VirtualLab`). `lane` only perturbs the loss-injection RNG
 /// so lanes draw independent streams.
+///
+/// Each verb first occupies the lane for its NIC service time (per the
+/// fabric's [`crate::timing::CostModel`]; charged virtual time, nothing
+/// when threaded), which is what serializes a lane's throughput in
+/// virtual time: one lane processes at most `1s / nic_service` verbs
+/// per virtual second, and QPs sharded across lanes genuinely overlap.
+/// One lane is one task, so per-QP FIFO order holds.
 pub(crate) fn engine_loop(
     fabric: Arc<FabricInner>,
     node: Arc<Node>,
@@ -114,60 +121,17 @@ pub(crate) fn engine_loop(
     let mut rng = SmallRng::seed_from_u64(
         fabric.config.seed ^ (node.id().0 as u64) << 17 ^ (lane as u64) << 40,
     );
-    if clock::is_virtual() {
-        engine_loop_virtual(&fabric, &node, &rx, &mut rng);
-        return;
-    }
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            NicCmd::Post { src_qpn, epoch, wr } => {
-                process(&fabric, &node, src_qpn, epoch, wr, &mut rng)
-            }
-            // Threaded engines execute one-sided verbs inline on the
-            // requester lane (timing is accounting-only there), so no
-            // Respond is ever forwarded; handle it anyway so a mixed
-            // setup degrades to correct execution.
-            NicCmd::Respond {
-                req_node,
-                src_qpn,
-                epoch,
-                wr,
-                ..
-            } => {
-                if let Ok(req) = fabric.node(req_node) {
-                    process(&fabric, &req, src_qpn, epoch, wr, &mut rng);
-                }
-            }
-            NicCmd::Stop => break,
-        }
-    }
-}
-
-/// Virtual-time engine loop: a blocking `recv` would freeze the lab's
-/// only running core, so the lane polls its command channel and yields
-/// idle rounds to the virtual scheduler. Each verb *sleeps* its NIC
-/// service time (per the fabric's [`crate::timing::CostModel`]) before
-/// executing, which is what serializes a lane's throughput in virtual
-/// time: one lane processes at most `1s / nic_service` verbs per virtual
-/// second, and QPs sharded across lanes genuinely overlap. Because one
-/// lane is one task, per-QP FIFO order is exactly the threaded
-/// behaviour.
-fn engine_loop_virtual(
-    fabric: &Arc<FabricInner>,
-    node: &Arc<Node>,
-    rx: &Receiver<NicCmd>,
-    rng: &mut SmallRng,
-) {
+    let cost = &fabric.config.cost;
     // An idle NIC lane re-polls quickly (hardware notices doorbells in
     // well under a microsecond); the tight virtual cap bounds added
     // detection latency to 2 µs even after long idle stretches.
     let mut idler =
         AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000);
-    loop {
-        match rx.try_recv() {
-            Ok(NicCmd::Post { src_qpn, epoch, wr }) => {
-                idler.reset();
-                match one_sided_target(fabric, node, src_qpn, &wr) {
+    while let Ok(cmd) = clock::recv_until(&rx, clock::NEVER, &mut idler) {
+        idler.reset();
+        match cmd {
+            NicCmd::Post { src_qpn, epoch, wr } => {
+                match one_sided_target(&fabric, &node, src_qpn, &wr) {
                     Some((dst, dst_qpn)) => {
                         // One-sided verb: the requester NIC only
                         // fetches the WQE and looks up its connection
@@ -177,7 +141,7 @@ fn engine_loop_virtual(
                         // here, then queue the responder half on the
                         // destination node's lane (sharded by the
                         // responder QPN, so per-QP FIFO order holds).
-                        clock::sleep_ns(issue_service_ns(&fabric.config.cost, node, src_qpn));
+                        occupy(issue_service_ns(cost, &node, src_qpn));
                         dst.forward_cmd(
                             dst_qpn,
                             NicCmd::Respond {
@@ -190,37 +154,37 @@ fn engine_loop_virtual(
                         );
                     }
                     None => {
-                        clock::sleep_ns(virtual_service_ns(
-                            &fabric.config.cost,
-                            node,
-                            src_qpn,
-                            &wr,
-                        ));
-                        process(fabric, node, src_qpn, epoch, wr, rng);
+                        occupy(service_ns(cost, &node, src_qpn, &wr));
+                        process(&fabric, &node, src_qpn, epoch, wr, &mut rng);
                     }
                 }
             }
-            Ok(NicCmd::Respond {
+            NicCmd::Respond {
                 req_node,
                 src_qpn,
                 dst_qpn,
                 epoch,
                 wr,
-            }) => {
-                idler.reset();
+            } => {
                 // `node` is the responder here: service time is priced
                 // by whether *this* NIC has the responder-side QP state
                 // resident — the fan-in effect: past the cache size,
                 // every one-sided verb pays the PCIe state fetch.
-                clock::sleep_ns(responder_service_ns(&fabric.config.cost, node, dst_qpn, &wr));
+                occupy(service_ns(cost, &node, dst_qpn, &wr));
                 if let Ok(req) = fabric.node(req_node) {
-                    process(fabric, &req, src_qpn, epoch, wr, rng);
+                    process(&fabric, &req, src_qpn, epoch, wr, &mut rng);
                 }
             }
-            Ok(NicCmd::Stop) | Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => idler.idle(),
+            NicCmd::Stop => break,
         }
     }
+}
+
+/// Occupy the calling lane for `ns` of NIC service time: a yield of
+/// that length in virtual time, a no-op when threaded.
+fn occupy(ns: u64) {
+    clock::charge(ns);
+    clock::flush_charge();
 }
 
 /// Resolve the responder for a one-sided verb, when it can run on the
@@ -259,16 +223,13 @@ fn issue_service_ns(cost: &crate::timing::CostModel, node: &Node, src_qpn: QpNum
     cost.nic_service(0, hit).as_nanos()
 }
 
-/// Responder-side cost of executing a one-sided verb: connection-state
-/// lookup in the *responder's* NIC cache, payload DMA over its PCIe
-/// link, the read/atomic surcharge, and the CQE DMA for the completion
-/// it will generate back at the requester.
-fn responder_service_ns(
-    cost: &crate::timing::CostModel,
-    node: &Node,
-    dst_qpn: QpNum,
-    wr: &SendWr,
-) -> u64 {
+/// NIC service time of one work request on the lane that executes it:
+/// base verb cost plus the connection-state lookup of `qpn` in `node`'s
+/// NIC cache (the posting QP for verbs run on the requester lane, the
+/// responder-side QP for forwarded one-sided verbs; the actual hit/miss
+/// is recorded by `process`), DMA per byte, the read/atomic surcharge,
+/// and the CQE DMA when a completion will be generated.
+fn service_ns(cost: &crate::timing::CostModel, node: &Node, qpn: QpNum, wr: &SendWr) -> u64 {
     let bytes = match wr.op {
         SendOp::Send { local }
         | SendOp::Write { local, .. }
@@ -279,44 +240,7 @@ fn responder_service_ns(
     let hit = node
         .cache()
         .lock()
-        .contains(qp_state_key(node.id().0, dst_qpn.0));
-    let mut ns = cost.nic_service(bytes, hit).as_nanos();
-    if matches!(wr.op, SendOp::Read { .. }) {
-        ns += cost.nic_read_extra_ns;
-    }
-    if matches!(wr.op, SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }) {
-        ns += cost.nic_atomic_extra_ns;
-    }
-    if wr.signaled {
-        ns += cost.nic_cqe_dma_ns;
-    }
-    ns
-}
-
-/// Virtual NIC service time for one work request executed entirely on
-/// the requester lane (two-sided sends, ring writes, and one-sided
-/// verbs whose destination could not be resolved): base verb cost plus
-/// connection-state lookup (priced by whether the posting QP's state is
-/// resident in the NIC cache — the actual hit/miss is recorded by
-/// `process` with the same key), DMA per byte, read-responder surcharge,
-/// and CQE DMA when a completion will be generated.
-fn virtual_service_ns(
-    cost: &crate::timing::CostModel,
-    node: &Node,
-    src_qpn: QpNum,
-    wr: &SendWr,
-) -> u64 {
-    let bytes = match wr.op {
-        SendOp::Send { local }
-        | SendOp::Write { local, .. }
-        | SendOp::WriteImm { local, .. }
-        | SendOp::Read { local, .. } => local.len,
-        SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. } => 8,
-    };
-    let hit = node
-        .cache()
-        .lock()
-        .contains(qp_state_key(node.id().0, src_qpn.0));
+        .contains(qp_state_key(node.id().0, qpn.0));
     let mut ns = cost.nic_service(bytes, hit).as_nanos();
     if matches!(wr.op, SendOp::Read { .. }) {
         ns += cost.nic_read_extra_ns;

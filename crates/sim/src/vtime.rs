@@ -35,8 +35,9 @@
 //!
 //! * Never block on an OS primitive (channel `recv`, condvar wait, bare
 //!   `thread::sleep`) — the core would never be handed over and the lab
-//!   deadlocks. Blocking sites must poll (`try_recv`) and yield through
-//!   the seam; the fabric/core crates branch on `clock::is_virtual()`.
+//!   deadlocks. Blocking sites wait through the seam instead
+//!   (`clock::wait_until`, `clock::recv_until`, `AdaptiveBackoff`),
+//!   which polls and yields between polls under the lab.
 //! * Never yield while holding a lock another task can contend (the
 //!   holder parks; the contender then spins forever as the only runnable
 //!   task). All converted sites drop locks before yielding, as the

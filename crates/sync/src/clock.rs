@@ -24,6 +24,14 @@
 //!   is deterministic and can simulate any degree of parallelism on a
 //!   single host CPU (see DESIGN.md §5e).
 //!
+//! Blocking waits go through the seam too: [`wait_until`] stands in for
+//! `Condvar::wait_until` and [`recv_until`] for a channel's blocking
+//! receive. Threaded, they are those OS waits. In the lab a blocked OS
+//! thread would hold the one running core, so they poll instead, one
+//! [`Pace`] step of virtual time between polls. Call sites never branch
+//! on [`is_virtual`]; the `determinism` lint rejects such a branch
+//! outside this crate.
+//!
 //! House rule for virtual tasks: **never yield while holding a lock
 //! another task can contend**. The threaded code already obeys this (all
 //! its spin/park sites drop locks first); conversions must preserve it,
@@ -34,6 +42,9 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use parking_lot::{Condvar, MutexGuard};
 
 /// A cooperative scheduler driving virtual tasks. Implemented by
 /// `flock_sim::vtime::VirtualLab`; installed per task via [`install`].
@@ -178,10 +189,95 @@ pub fn deadline(d: Duration) -> u64 {
     now_ns().saturating_add(d.as_nanos().min(u64::MAX as u128) as u64)
 }
 
-/// Whether a [`deadline`] has passed.
+/// A deadline that never passes: a wait given it blocks until woken.
+pub const NEVER: u64 = u64::MAX;
+
+/// Whether a [`deadline`] has passed ([`NEVER`] never does).
 #[inline]
 pub fn expired(deadline_ns: u64) -> bool {
-    now_ns() > deadline_ns
+    deadline_ns != NEVER && now_ns() > deadline_ns
+}
+
+/// How a virtual task spaces the polls that stand in for a blocking wait
+/// in the lab. Each site keeps its own pace, a modeling constant like
+/// any other virtual cost: a `u64` is a fixed poll period in virtual
+/// nanoseconds, and a [`crate::AdaptiveBackoff`] steps its virtual
+/// ladder (the caller resets it on progress). Unused in threaded mode.
+pub trait Pace {
+    /// Spend one idle round between polls.
+    fn step(&mut self);
+}
+
+impl Pace for u64 {
+    fn step(&mut self) {
+        sleep_ns(*self);
+    }
+}
+
+impl<P: Pace + ?Sized> Pace for &mut P {
+    fn step(&mut self) {
+        (**self).step();
+    }
+}
+
+/// Wait on `cond` until notified or until `deadline_ns` ([`deadline`],
+/// or [`NEVER`]) passes; returns whether the wait timed out. The seam's
+/// `Condvar::wait_until`.
+///
+/// Threaded, this is the condvar wait. In the lab it returns `true` at
+/// once if the deadline has passed; otherwise it releases the guard for
+/// one `pace` step, relocks, and returns `false`. That wake may be
+/// spurious, so callers re-check their condition in a loop, as with any
+/// condvar.
+pub fn wait_until<T>(
+    cond: &Condvar,
+    guard: &mut MutexGuard<'_, T>,
+    deadline_ns: u64,
+    mut pace: impl Pace,
+) -> bool {
+    if is_virtual() {
+        if expired(deadline_ns) {
+            return true;
+        }
+        MutexGuard::unlocked(guard, || pace.step());
+        return false;
+    }
+    if deadline_ns == NEVER {
+        cond.wait(guard);
+        return false;
+    }
+    cond.wait_until(guard, wall_epoch() + Duration::from_nanos(deadline_ns))
+        .timed_out()
+}
+
+/// Receive from `rx`, waiting until `deadline_ns` ([`deadline`], or
+/// [`NEVER`]) at the latest. The seam's `recv_timeout` (and `recv`).
+///
+/// Threaded, this is the blocking receive. In the lab it polls with
+/// `try_recv`: while the channel is empty it returns `Timeout` once the
+/// deadline has passed, and otherwise takes one `pace` step and polls
+/// again.
+pub fn recv_until<T>(
+    rx: &Receiver<T>,
+    deadline_ns: u64,
+    mut pace: impl Pace,
+) -> Result<T, RecvTimeoutError> {
+    if is_virtual() {
+        loop {
+            match rx.try_recv() {
+                Ok(v) => return Ok(v),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) if expired(deadline_ns) => {
+                    return Err(RecvTimeoutError::Timeout)
+                }
+                Err(TryRecvError::Empty) => pace.step(),
+            }
+        }
+    }
+    if deadline_ns == NEVER {
+        return rx.recv().map_err(|_| RecvTimeoutError::Disconnected);
+    }
+    rx.recv_timeout(Duration::from_nanos(deadline_ns.saturating_sub(now_ns())))
 }
 
 /// Handle to a task spawned through the seam.
@@ -275,6 +371,57 @@ mod tests {
         yield_now();
         let d = deadline(Duration::from_secs(3600));
         assert!(!expired(d));
+    }
+
+    #[test]
+    fn threaded_wait_until_wakes_on_notify_and_times_out_at_the_deadline() {
+        use parking_lot::{Condvar, Mutex};
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let notifier = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                *pair.0.lock() = true;
+                pair.1.notify_one();
+            })
+        };
+        // Notified long before the deadline: returns early, not timed out.
+        let far = deadline(Duration::from_secs(60));
+        let mut flag = pair.0.lock();
+        while !*flag {
+            assert!(!wait_until(&pair.1, &mut flag, far, 500), "timed out early");
+        }
+        assert!(!expired(far));
+        notifier.join().unwrap();
+
+        // No notify: timed out, and no earlier than the deadline.
+        let near = deadline(Duration::from_millis(20));
+        while !wait_until(&pair.1, &mut flag, near, 500) {}
+        assert!(now_ns() >= near);
+    }
+
+    #[test]
+    fn threaded_recv_until_wakes_on_send_and_times_out_at_the_deadline() {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(5u32).unwrap();
+            tx
+        });
+        let far = deadline(Duration::from_secs(60));
+        assert_eq!(recv_until(&rx, far, 500), Ok(5));
+        assert!(!expired(far));
+        let tx = sender.join().unwrap();
+
+        let near = deadline(Duration::from_millis(20));
+        assert_eq!(recv_until(&rx, near, 500), Err(RecvTimeoutError::Timeout));
+        assert!(now_ns() >= near);
+
+        drop(tx);
+        assert_eq!(
+            recv_until(&rx, NEVER, 500),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]

@@ -165,8 +165,10 @@ pub struct AdaptiveBackoff {
     // Unread under cfg(loom), where every tier is a voluntary yield.
     #[cfg_attr(loom, allow(dead_code))]
     max_park: std::time::Duration,
-    // Cap of the virtual ladder; unread under cfg(loom) for the same
-    // reason as `max_park`.
+    // First rung and cap of the virtual ladder; unread under cfg(loom)
+    // for the same reason as `max_park`.
+    #[cfg_attr(loom, allow(dead_code))]
+    virtual_first_ns: u64,
     #[cfg_attr(loom, allow(dead_code))]
     virtual_cap_ns: u64,
 }
@@ -196,6 +198,7 @@ impl AdaptiveBackoff {
         AdaptiveBackoff {
             idle_rounds: 0,
             max_park,
+            virtual_first_ns: Self::VIRTUAL_FIRST_POLL_NS,
             virtual_cap_ns: Self::VIRTUAL_MAX_POLL_NS,
         }
     }
@@ -214,7 +217,15 @@ impl AdaptiveBackoff {
     /// actors set a tight cap here; incidental waiters keep the deep
     /// default so thousands of idle tasks don't swamp the event heap.
     pub fn with_virtual_cap(mut self, ns: u64) -> AdaptiveBackoff {
-        self.virtual_cap_ns = ns.max(Self::VIRTUAL_FIRST_POLL_NS);
+        self.virtual_cap_ns = ns.max(self.virtual_first_ns);
+        self
+    }
+
+    /// Poll at a fixed virtual period of `ns` instead of climbing the
+    /// virtual ladder (the threaded ladder is unchanged).
+    pub fn with_virtual_period(mut self, ns: u64) -> AdaptiveBackoff {
+        self.virtual_first_ns = ns;
+        self.virtual_cap_ns = ns;
         self
     }
 
@@ -241,11 +252,15 @@ impl AdaptiveBackoff {
         {
             if clock::is_virtual() {
                 // Virtual ladder: each idle round is a charged virtual
-                // sleep whose period doubles from VIRTUAL_FIRST_POLL_NS
-                // up to VIRTUAL_MAX_POLL_NS, mirroring the park tier's
-                // shape without burning wall time or host CPU.
+                // sleep whose period doubles from the first rung
+                // (VIRTUAL_FIRST_POLL_NS by default) up to the cap,
+                // mirroring the park tier's shape without burning wall
+                // time or host CPU.
                 let exp = self.idle_rounds.saturating_sub(1).min(12);
-                let poll = (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns);
+                let poll = self
+                    .virtual_first_ns
+                    .saturating_mul(1 << exp)
+                    .min(self.virtual_cap_ns);
                 clock::sleep_ns(poll);
             } else if self.idle_rounds <= Self::SPIN_LIMIT && !single_cpu() {
                 hint::spin_loop();
@@ -266,6 +281,14 @@ impl AdaptiveBackoff {
     /// by callers that must not sleep while holding work).
     pub fn would_park(&self) -> bool {
         self.idle_rounds >= Self::SPIN_LIMIT + Self::YIELD_LIMIT
+    }
+}
+
+/// A wait through the seam idles one ladder round per step; the caller
+/// resets the ladder when it makes progress.
+impl clock::Pace for AdaptiveBackoff {
+    fn step(&mut self) {
+        self.idle();
     }
 }
 

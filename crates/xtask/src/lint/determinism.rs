@@ -9,6 +9,12 @@
 //! `crates/sync/src/clock.rs` (the seam's own threaded arm) is an error
 //! unless justified in `determinism.allow`.
 //!
+//! Asking which executor runs (`clock::is_virtual`) is the seam's
+//! business too: a call site that branches on it forks a wait into a
+//! threaded and a virtual copy, which the seam's wait primitives
+//! (`clock::wait_until`, `clock::recv_until`, `AdaptiveBackoff`) exist
+//! to replace. Only the seam crate, `crates/sync/src/`, may call it.
+//!
 //! Test/bench/example scaffolding is exempt: it drives the system from
 //! *outside* the lab on real OS threads by design (spawning the client
 //! threads that then `clock::install` themselves, timing wall-clock
@@ -24,8 +30,15 @@ use std::collections::BTreeMap;
 /// itself.
 const SEAM: &str = "crates/sync/src/clock.rs";
 
+/// The seam crate, the one place allowed to branch on the executor.
+const SEAM_CRATE: &str = "crates/sync/src/";
+
+/// The executor query: an escape outside [`SEAM_CRATE`] only.
+const EXECUTOR_QUERY: (&str, &str) = ("clock", "is_virtual");
+
 /// `prefix :: name` patterns that escape the seam.
 const QUALIFIED: &[(&str, &str)] = &[
+    EXECUTOR_QUERY,
     ("Instant", "now"),
     ("SystemTime", "now"),
     ("thread", "sleep"),
@@ -55,6 +68,7 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
     if model.path == SEAM {
         return Vec::new();
     }
+    let in_seam_crate = model.path.starts_with(SEAM_CRATE);
     let mut ordinals: BTreeMap<(String, String), usize> = BTreeMap::new();
     let mut out = Vec::new();
     let toks = &model.toks;
@@ -64,6 +78,7 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
         }
         let matched: Option<String> = QUALIFIED
             .iter()
+            .filter(|p| !(in_seam_crate && **p == EXECUTOR_QUERY))
             .find(|(q, name)| {
                 toks[i].text == *q
                     && toks.get(i + 1).is_some_and(|t| t.text == "::")
@@ -113,10 +128,13 @@ pub fn check(models: &[&SourceModel], allow: &Allowlist) -> (Vec<Diagnostic>, Ve
                         .at(&esc.file, esc.line)
                         .snippet(model.line_text(esc.line))
                         .note(format!("key: {}", esc.key))
-                        .note(
+                        .note(if esc.pattern == "clock::is_virtual" {
+                            "wait through flock_sync::clock::{wait_until, recv_until} or \
+                             AdaptiveBackoff instead of forking the call site"
+                        } else {
                             "route through flock_sync::clock (now_ns/deadline/sleep/spawn) \
-                             or justify in determinism.allow",
-                        ),
+                             or justify in determinism.allow"
+                        }),
                     );
                     missing.push(esc.key);
                 }

@@ -31,7 +31,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fabric/src/cq.rs", "push"),
     ("crates/core/src/server.rs", "dispatch_loop"),
     ("crates/fabric/src/nic.rs", "engine_loop"),
-    ("crates/fabric/src/nic.rs", "engine_loop_virtual"),
     // Elastic control plane: churn makes lease/release warm-path — a
     // reconnecting client must hit the pooled free-list, not the
     // allocator. Cold-path refills are justified in hotpath.allow.

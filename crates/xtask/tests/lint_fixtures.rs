@@ -76,6 +76,31 @@ fn determinism_allowlist_and_seam_are_honored() {
 }
 
 #[test]
+fn determinism_executor_fork_is_flagged_outside_the_seam_crate() {
+    // A call site that forks its wait on the executor is an escape...
+    let fork = "pub fn wait() {\n    if flock_sync::clock::is_virtual() {\n        \
+                clock::sleep_ns(500);\n    }\n}\n";
+    let m = model("crates/core/src/client.rs", fork);
+    let (diags, missing) = determinism::check(&[&m], &empty_allow());
+    assert_eq!(
+        diags.len(),
+        1,
+        "findings: {:?}",
+        diags.iter().map(|d| &d.message).collect::<Vec<_>>()
+    );
+    assert!(diags[0].message.contains("clock::is_virtual"));
+    assert_eq!(
+        missing,
+        ["crates/core/src/client.rs::wait::clock::is_virtual#1"]
+    );
+
+    // ...but the seam crate's own primitives branch on it by design.
+    let seam = model("crates/sync/src/lib.rs", fork);
+    let (diags, _) = determinism::check(&[&seam], &empty_allow());
+    assert!(diags.is_empty(), "seam crate must be exempt");
+}
+
+#[test]
 fn determinism_todo_justification_still_fails() {
     let m = model(
         "crates/fixture/src/lib.rs",
