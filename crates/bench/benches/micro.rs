@@ -142,9 +142,9 @@ fn bench_ring(c: &mut Criterion) {
 }
 
 fn bench_tcq(c: &mut Criterion) {
-    // Pooled (default) vs boxed (the `alloc-per-node` escape-hatch
-    // behavior, selected at runtime via `with_pooling`): same protocol,
-    // only the node/scratch allocation strategy differs.
+    // Pooled (default) vs boxed (the pre-pooling behavior, selected at
+    // runtime via `with_pooling`): same protocol, only the node/scratch
+    // allocation strategy differs.
     c.bench_function("tcq_pooled_join_complete_uncontended", |b| {
         let tcq: Tcq<u64> = Tcq::with_pooling(16, true);
         b.iter(|| match tcq.join(black_box(42)) {

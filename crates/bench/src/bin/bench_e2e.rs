@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flock_bench::report::percentile_us;
 use flock_core::api::fl_connect;
 use flock_core::client::HandleConfig;
 use flock_core::server::{FlockServer, ServerConfig};
@@ -41,14 +42,6 @@ struct Point {
     total_ops: u64,
     median_us: f64,
     p99_us: f64,
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
 }
 
 /// Run one fan-in configuration and measure throughput + latency.

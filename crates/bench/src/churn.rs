@@ -20,7 +20,6 @@
 //!    and after shows the departing sender's share migrating at detach
 //!    (not at the next utilization epoch).
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -28,9 +27,10 @@ use flock_core::api::fl_connect;
 use flock_core::client::HandleConfig;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
-use flock_fabric::FabricConfig;
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
+
+use crate::report::{elastic_fabric, percentile_us, Obj};
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -79,15 +79,9 @@ impl ChurnWorkload {
     }
 }
 
-/// Elastic fabric: QP pool and MR cache on (the configuration under
-/// test; the cold wave measures the miss path through the same code).
-fn elastic_fabric() -> FabricConfig {
-    let mut fc = FabricConfig::default();
-    fc.qpool.enabled = true;
-    fc.mr_cache.enabled = true;
-    fc.nic_lanes = 2;
-    fc
-}
+/// NIC lanes per node. The pools are on (the configuration under test;
+/// the cold wave measures the miss path through the same code).
+const NIC_LANES: usize = 2;
 
 /// Handle configuration for short-lived churn clients: lazy lanes (the
 /// default) and a minimal one-sided scratch region, so connection setup
@@ -96,14 +90,6 @@ fn churn_handle_cfg() -> HandleConfig {
     let mut cfg = HandleConfig::default();
     cfg.mem_threads = 1;
     cfg
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
 }
 
 // ---------------------------------------------------------------------
@@ -177,7 +163,7 @@ fn storm_wave(
 /// Run the connect-storm scenario in a fresh lab.
 pub fn run_storm(w: ChurnWorkload) -> StormOutcome {
     let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
+        let domain = Arc::new(FlockDomain::new(elastic_fabric(NIC_LANES)));
         let server_node = domain.add_node("storm-srv");
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 1;
@@ -263,7 +249,7 @@ pub struct ChurnOutcome {
 /// Returns (sorted latencies ns, churn events).
 fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, u64) {
     let ((lats, events), report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
+        let domain = Arc::new(FlockDomain::new(elastic_fabric(NIC_LANES)));
         let server_node = domain.add_node("churn-srv");
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 2;
@@ -424,7 +410,7 @@ pub fn run_scaleout(payload: usize) -> ScaleOutOutcome {
     const MAX_AQP: usize = 4;
     const N_QPS: usize = 4;
     let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
+        let domain = Arc::new(FlockDomain::new(elastic_fabric(NIC_LANES)));
         let server_node = domain.add_node("so-srv");
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 1;
@@ -545,7 +531,7 @@ pub fn run_scaleout(payload: usize) -> ScaleOutOutcome {
 pub fn run_churn_suite(quick: bool, log: bool) -> String {
     let w = ChurnWorkload::preset(quick);
     if log {
-        eprintln!("bench_churn: connect storm ({} clients x 2 waves)...", w.storm_clients);
+        eprintln!("bench churn: connect storm ({} clients x 2 waves)...", w.storm_clients);
     }
     let storm = run_storm(w);
     if log {
@@ -554,7 +540,7 @@ pub fn run_churn_suite(quick: bool, log: bool) -> String {
             storm.cold_median_us, storm.warm_median_us, storm.warm_speedup, storm.server_warm_leases
         );
         eprintln!(
-            "bench_churn: steady load ({} clients) under churn ({} churners x {} rounds)...",
+            "bench churn: steady load ({} clients) under churn ({} churners x {} rounds)...",
             w.steady_clients, w.churners, w.churn_rounds
         );
     }
@@ -564,7 +550,7 @@ pub fn run_churn_suite(quick: bool, log: bool) -> String {
             "  -> p99 {:.1} us under churn vs {:.1} us baseline ({:.3}x), {} churn events",
             churn.churn_p99_us, churn.baseline_p99_us, churn.disturbance_ratio, churn.churn_events
         );
-        eprintln!("bench_churn: scale-out / AQP migration...");
+        eprintln!("bench churn: scale-out / AQP migration...");
     }
     let so = run_scaleout(w.payload);
     if log {
@@ -579,9 +565,7 @@ pub fn run_churn_suite(quick: bool, log: bool) -> String {
     render_json(quick, w, &storm, &churn, &so)
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
+/// Render the suite's JSON document.
 pub fn render_json(
     quick: bool,
     w: ChurnWorkload,
@@ -589,47 +573,48 @@ pub fn render_json(
     churn: &ChurnOutcome,
     so: &ScaleOutOutcome,
 ) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-churn/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    j.push_str("  \"storm\": {\n");
-    let _ = writeln!(j, "    \"clients\": {},", storm.clients);
-    let _ = writeln!(j, "    \"cold_ttfr_median_us\": {:.2},", storm.cold_median_us);
-    let _ = writeln!(j, "    \"cold_ttfr_p99_us\": {:.2},", storm.cold_p99_us);
-    let _ = writeln!(j, "    \"warm_ttfr_median_us\": {:.2},", storm.warm_median_us);
-    let _ = writeln!(j, "    \"warm_ttfr_p99_us\": {:.2},", storm.warm_p99_us);
-    let _ = writeln!(j, "    \"warm_speedup\": {:.3},", storm.warm_speedup);
-    let _ = writeln!(j, "    \"server_warm_leases\": {},", storm.server_warm_leases);
-    let _ = writeln!(j, "    \"handovers\": {},", storm.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", storm.tasks);
-    j.push_str("  },\n");
-    j.push_str("  \"churn\": {\n");
-    let _ = writeln!(j, "    \"steady_clients\": {},", churn.steady_clients);
-    let _ = writeln!(j, "    \"reqs_per_steady\": {},", w.reqs_per_steady);
-    let _ = writeln!(j, "    \"window\": {},", w.window);
-    let _ = writeln!(j, "    \"churners\": {},", churn.churners);
-    let _ = writeln!(j, "    \"churn_events\": {},", churn.churn_events);
-    let _ = writeln!(j, "    \"baseline_median_us\": {:.2},", churn.baseline_median_us);
-    let _ = writeln!(j, "    \"baseline_p99_us\": {:.2},", churn.baseline_p99_us);
-    let _ = writeln!(j, "    \"churn_median_us\": {:.2},", churn.churn_median_us);
-    let _ = writeln!(j, "    \"churn_p99_us\": {:.2},", churn.churn_p99_us);
-    let _ = writeln!(j, "    \"disturbance_ratio\": {:.3},", churn.disturbance_ratio);
-    let _ = writeln!(j, "    \"handovers\": {},", churn.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", churn.tasks);
-    j.push_str("  },\n");
-    j.push_str("  \"scaleout\": {\n");
-    let _ = writeln!(j, "    \"max_aqp\": {},", so.max_aqp);
-    let _ = writeln!(j, "    \"n_qps\": {},", so.n_qps);
-    let _ = writeln!(j, "    \"survivor_active_before\": {},", so.survivor_active_before);
-    let _ = writeln!(j, "    \"total_active_before\": {},", so.total_active_before);
-    let _ = writeln!(j, "    \"survivor_active_after\": {},", so.survivor_active_after);
-    let _ = writeln!(j, "    \"total_active_after\": {},", so.total_active_after);
-    let _ = writeln!(j, "    \"handovers\": {},", so.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", so.tasks);
-    j.push_str("  }\n");
-    j.push_str("}\n");
-    j
+    Obj::doc("flock-bench-churn/v1", quick)
+        .int("payload_bytes", w.payload)
+        .obj(
+            "storm",
+            Obj::new()
+                .int("clients", storm.clients)
+                .float("cold_ttfr_median_us", storm.cold_median_us, 2)
+                .float("cold_ttfr_p99_us", storm.cold_p99_us, 2)
+                .float("warm_ttfr_median_us", storm.warm_median_us, 2)
+                .float("warm_ttfr_p99_us", storm.warm_p99_us, 2)
+                .float("warm_speedup", storm.warm_speedup, 3)
+                .int("server_warm_leases", storm.server_warm_leases)
+                .int("handovers", storm.handovers)
+                .int("tasks", storm.tasks),
+        )
+        .obj(
+            "churn",
+            Obj::new()
+                .int("steady_clients", churn.steady_clients)
+                .int("reqs_per_steady", w.reqs_per_steady)
+                .int("window", w.window)
+                .int("churners", churn.churners)
+                .int("churn_events", churn.churn_events)
+                .float("baseline_median_us", churn.baseline_median_us, 2)
+                .float("baseline_p99_us", churn.baseline_p99_us, 2)
+                .float("churn_median_us", churn.churn_median_us, 2)
+                .float("churn_p99_us", churn.churn_p99_us, 2)
+                .float("disturbance_ratio", churn.disturbance_ratio, 3)
+                .int("handovers", churn.handovers)
+                .int("tasks", churn.tasks),
+        )
+        .obj(
+            "scaleout",
+            Obj::new()
+                .int("max_aqp", so.max_aqp)
+                .int("n_qps", so.n_qps)
+                .int("survivor_active_before", so.survivor_active_before)
+                .int("total_active_before", so.total_active_before)
+                .int("survivor_active_after", so.survivor_active_after)
+                .int("total_active_after", so.total_active_after)
+                .int("handovers", so.handovers)
+                .int("tasks", so.tasks),
+        )
+        .render()
 }

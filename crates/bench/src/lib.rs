@@ -9,6 +9,7 @@
 pub mod arrival;
 pub mod churn;
 pub mod onesided;
+pub mod report;
 pub mod scale;
 pub mod tenant;
 

@@ -20,7 +20,6 @@
 //! same RPC. The rendered JSON's `crossover` section pins where, and
 //! EXPERIMENTS.md narrates the thresholds.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -38,6 +37,7 @@ use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::arrival::RateRamp;
+use crate::report::{percentile_us, Obj};
 
 /// Mean inter-request gap per client (virtual ns): open-loop Poisson
 /// arrivals, so the coalescing degree is set by genuine concurrency,
@@ -146,14 +146,6 @@ pub struct ModeOutcome {
     pub handovers: u64,
     /// Virtual tasks spawned.
     pub tasks: u64,
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
 }
 
 /// The JSON name of a mode (also the log label).
@@ -458,7 +450,7 @@ pub fn run_onesided_suite(quick: bool, log: bool) -> String {
     for p in points {
         if log {
             eprintln!(
-                "bench_onesided: clients={} value={}B writes={}% ...",
+                "bench onesided: clients={} value={}B writes={}% ...",
                 p.clients, p.value, p.write_pct
             );
         }
@@ -484,83 +476,55 @@ pub fn run_onesided_suite(quick: bool, log: bool) -> String {
     render_json(quick, w, &outcomes)
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
+/// Render the sweep's JSON document.
 pub fn render_json(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-onesided/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"seed\": {},", w.seed);
-    let _ = writeln!(j, "  \"keys\": {},", w.keys);
-    let _ = writeln!(j, "  \"reqs_per_client\": {},", w.reqs_per_client);
-    let _ = writeln!(j, "  \"mean_gap_ns\": {:.0},", GAP_NS);
-    let _ = writeln!(j, "  \"threads_per_node\": {THREADS_PER_NODE},");
-    let _ = writeln!(j, "  \"inline_value_cap\": {INLINE_VALUE_CAP},");
     let fc = crossover_fabric();
-    let _ = writeln!(j, "  \"nic_lanes\": {},", fc.nic_lanes);
-    let _ = writeln!(j, "  \"nic_cache_entries\": {},", fc.nic_cache_entries);
-    j.push_str("  \"points\": [\n");
-    let total = outcomes.len() * 3;
-    for (i, o) in outcomes.iter().flatten().enumerate() {
-        let comma = if i + 1 < total { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"clients\": {}, \"value_bytes\": {}, \"write_pct\": {}, \
-             \"mode\": \"{}\", \"gets\": {}, \"sets\": {}, \"virtual_ms\": {:.3}, \
-             \"ops_per_vsec\": {:.0}, \"get_median_us\": {:.2}, \"get_p99_us\": {:.2}, \
-             \"one_sided\": {}, \"rpc_reads\": {}, \"fallbacks\": {}, \
-             \"retries\": {}, \"retry_rate\": {:.4}, \"verbs\": {}, \
-             \"handovers\": {}, \"tasks\": {}}}{comma}",
-            o.point.clients,
-            o.point.value,
-            o.point.write_pct,
-            mode_name(o.mode),
-            o.gets,
-            o.sets,
-            o.virtual_ms,
-            o.ops_per_vsec,
-            o.get_median_us,
-            o.get_p99_us,
-            o.one_sided,
-            o.rpc_reads,
-            o.fallbacks,
-            o.retries,
-            o.retry_rate,
-            o.verbs,
-            o.handovers,
-            o.tasks
-        );
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"crossover\": [\n");
-    let rows = crossover_rows(outcomes);
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let mut series = String::new();
-        for (k, &(c, rpc, os, ad)) in r.series.iter().enumerate() {
-            let sc = if k + 1 < r.series.len() { ", " } else { "" };
-            let _ = write!(
-                series,
-                "{{\"clients\": {c}, \"rpc\": {rpc:.0}, \"one_sided\": {os:.0}, \
-                 \"adaptive\": {ad:.0}}}{sc}"
-            );
-        }
-        let _ = writeln!(
-            j,
-            "    {{\"value_bytes\": {}, \"write_pct\": {}, \"series\": [{}], \
-             \"rpc_wins_at_clients\": {}}}{comma}",
-            r.value, r.write_pct, series, r.rpc_wins_at_clients
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"adaptive_worst_regret\": {:.3}",
-        adaptive_worst_regret(outcomes)
-    );
-    j.push_str("}\n");
-    j
+    let points = outcomes.iter().flatten().map(|o| {
+        Obj::new()
+            .int("clients", o.point.clients)
+            .int("value_bytes", o.point.value)
+            .int("write_pct", o.point.write_pct)
+            .str("mode", mode_name(o.mode))
+            .int("gets", o.gets)
+            .int("sets", o.sets)
+            .float("virtual_ms", o.virtual_ms, 3)
+            .float("ops_per_vsec", o.ops_per_vsec, 0)
+            .float("get_median_us", o.get_median_us, 2)
+            .float("get_p99_us", o.get_p99_us, 2)
+            .int("one_sided", o.one_sided)
+            .int("rpc_reads", o.rpc_reads)
+            .int("fallbacks", o.fallbacks)
+            .int("retries", o.retries)
+            .float("retry_rate", o.retry_rate, 4)
+            .int("verbs", o.verbs)
+            .int("handovers", o.handovers)
+            .int("tasks", o.tasks)
+    });
+    let crossover = crossover_rows(outcomes).into_iter().map(|r| {
+        let series = r.series.iter().map(|&(c, rpc, os, ad)| {
+            Obj::new()
+                .int("clients", c)
+                .float("rpc", rpc, 0)
+                .float("one_sided", os, 0)
+                .float("adaptive", ad, 0)
+        });
+        Obj::new()
+            .int("value_bytes", r.value)
+            .int("write_pct", r.write_pct)
+            .rows("series", series)
+            .int("rpc_wins_at_clients", r.rpc_wins_at_clients)
+    });
+    Obj::doc("flock-bench-onesided/v1", quick)
+        .int("seed", w.seed)
+        .int("keys", w.keys)
+        .int("reqs_per_client", w.reqs_per_client)
+        .float("mean_gap_ns", GAP_NS, 0)
+        .int("threads_per_node", THREADS_PER_NODE)
+        .int("inline_value_cap", INLINE_VALUE_CAP)
+        .int("nic_lanes", fc.nic_lanes)
+        .int("nic_cache_entries", fc.nic_cache_entries)
+        .rows("points", points)
+        .rows("crossover", crossover)
+        .float("adaptive_worst_regret", adaptive_worst_regret(outcomes), 3)
+        .render()
 }

@@ -11,7 +11,6 @@
 //! of its configuration: two runs produce byte-identical JSON (the CI
 //! determinism check, and the `scale_determinism` test).
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -22,6 +21,8 @@ use flock_core::FlockDomain;
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
+
+use crate::report::{percentile_us, Obj};
 
 /// One configuration of the scaling surface.
 #[derive(Debug, Clone, Copy)]
@@ -91,10 +92,12 @@ pub struct Workload {
     pub payload: usize,
 }
 
-impl Default for Workload {
-    fn default() -> Self {
+impl Workload {
+    /// Workload for a sweep: CI smoke (`quick`) or the checked-in
+    /// `BENCH_scale.json`.
+    pub fn preset(quick: bool) -> Workload {
         Workload {
-            reqs_per_thread: 24,
+            reqs_per_thread: if quick { 8 } else { 24 },
             window: 8,
             payload: 32,
         }
@@ -200,7 +203,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
         // carry their connection's control-plane charge (QP creation, MR
         // registration) on their own clocks, so anchoring at the
         // workers' start instants keeps setup cost out of the
-        // steady-state throughput figure — `bench_churn` measures it.
+        // steady-state throughput figure — `bench churn` measures it.
         let collected = std::mem::take(&mut *results.lock().unwrap());
         let mut total_ops = 0u64;
         let mut all_lat: Vec<u64> = Vec::new();
@@ -244,14 +247,6 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
     outcome
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
-
 /// The sweep: quick (CI smoke) or full (checked-in `BENCH_scale.json`).
 pub fn sweep_points(quick: bool) -> Vec<ScalePoint> {
     let pt = |clients, threads_per_node, n_qps, dispatch_threads, nic_lanes| ScalePoint {
@@ -288,14 +283,15 @@ pub fn sweep_points(quick: bool) -> Vec<ScalePoint> {
     }
 }
 
-/// Run a sweep and render the stable-order JSON document.
-pub fn run_sweep(quick: bool, w: Workload, log: bool) -> String {
+/// Run the sweep and render the stable-order JSON document.
+pub fn run_scale_suite(quick: bool, log: bool) -> String {
+    let w = Workload::preset(quick);
     let points = sweep_points(quick);
     let mut outcomes = Vec::with_capacity(points.len());
     for p in points {
         if log {
             eprintln!(
-                "bench_scale: clients={}x{} qps={} dispatch={} lanes={} ...",
+                "bench scale: clients={}x{} qps={} dispatch={} lanes={} ...",
                 p.clients, p.threads_per_node, p.n_qps, p.dispatch_threads, p.nic_lanes
             );
         }
@@ -318,76 +314,51 @@ pub fn run_sweep(quick: bool, w: Workload, log: bool) -> String {
     render_json(quick, w, &outcomes)
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace has
-/// no serde); every float is formatted with fixed precision so identical
-/// runs are byte-identical.
+/// Render the sweep's JSON document.
 pub fn render_json(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> String {
     let speedup = |d: usize, l: usize| -> f64 {
-        let base = outcomes
-            .iter()
-            .find(|o| {
-                o.point.client_threads() == 16
-                    && o.point.dispatch_threads == 1
-                    && o.point.nic_lanes == 1
-            })
-            .map(|o| o.ops_per_vsec)
-            .unwrap_or(0.0);
-        let sharded = outcomes
-            .iter()
-            .find(|o| {
-                o.point.client_threads() == 16
-                    && o.point.dispatch_threads == d
-                    && o.point.nic_lanes == l
-            })
-            .map(|o| o.ops_per_vsec)
-            .unwrap_or(0.0);
+        let at_16 = |d: usize, l: usize| {
+            outcomes
+                .iter()
+                .find(|o| {
+                    o.point.client_threads() == 16
+                        && o.point.dispatch_threads == d
+                        && o.point.nic_lanes == l
+                })
+                .map_or(0.0, |o| o.ops_per_vsec)
+        };
+        let base = at_16(1, 1);
         if base > 0.0 {
-            sharded / base
+            at_16(d, l) / base
         } else {
             0.0
         }
     };
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-scale/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"reqs_per_thread\": {},", w.reqs_per_thread);
-    let _ = writeln!(j, "  \"window\": {},", w.window);
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    j.push_str("  \"points\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let comma = if i + 1 < outcomes.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"clients\": {}, \"threads_per_node\": {}, \"n_qps\": {}, \
-             \"dispatch_threads\": {}, \"nic_lanes\": {}, \"sched_interval_us\": {}, \
-             \"total_ops\": {}, \
-             \"virtual_ms\": {:.3}, \"ops_per_vsec\": {:.0}, \"median_us\": {:.2}, \
-             \"p99_us\": {:.2}, \"mean_degree\": {:.3}, \"active_qps\": {}, \
-             \"total_qps\": {}, \"handovers\": {}, \"tasks\": {}}}{comma}",
-            o.point.clients,
-            o.point.threads_per_node,
-            o.point.n_qps,
-            o.point.dispatch_threads,
-            o.point.nic_lanes,
-            o.point.sched_interval_us,
-            o.total_ops,
-            o.virtual_ms,
-            o.ops_per_vsec,
-            o.median_us,
-            o.p99_us,
-            o.mean_degree,
-            o.active_qps,
-            o.total_qps,
-            o.handovers,
-            o.tasks
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(j, "  \"speedup_2x2_over_1x1_at_16\": {:.3},", speedup(2, 2));
-    let _ = writeln!(j, "  \"speedup_4x4_over_1x1_at_16\": {:.3}", speedup(4, 4));
-    j.push_str("}\n");
-    j
+    let points = outcomes.iter().map(|o| {
+        Obj::new()
+            .int("clients", o.point.clients)
+            .int("threads_per_node", o.point.threads_per_node)
+            .int("n_qps", o.point.n_qps)
+            .int("dispatch_threads", o.point.dispatch_threads)
+            .int("nic_lanes", o.point.nic_lanes)
+            .int("sched_interval_us", o.point.sched_interval_us)
+            .int("total_ops", o.total_ops)
+            .float("virtual_ms", o.virtual_ms, 3)
+            .float("ops_per_vsec", o.ops_per_vsec, 0)
+            .float("median_us", o.median_us, 2)
+            .float("p99_us", o.p99_us, 2)
+            .float("mean_degree", o.mean_degree, 3)
+            .int("active_qps", o.active_qps)
+            .int("total_qps", o.total_qps)
+            .int("handovers", o.handovers)
+            .int("tasks", o.tasks)
+    });
+    Obj::doc("flock-bench-scale/v1", quick)
+        .int("reqs_per_thread", w.reqs_per_thread)
+        .int("window", w.window)
+        .int("payload_bytes", w.payload)
+        .rows("points", points)
+        .float("speedup_2x2_over_1x1_at_16", speedup(2, 2), 3)
+        .float("speedup_4x4_over_1x1_at_16", speedup(4, 4), 3)
+        .render()
 }

@@ -21,14 +21,13 @@
 //!    disturbance ratio (vs baseline) is the headline: caps must hold
 //!    it near 1, while the uncapped run shows what lane-stealing costs.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use flock_core::sched::jains_index;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
-use flock_fabric::FabricConfig;
 use flock_gateway::proto::{MemcachedText, Request, WireProtocol};
 use flock_gateway::{register_kv_backend, Gateway, GatewayConfig};
 use flock_kvstore::{KvConfig, KvStore};
@@ -37,6 +36,7 @@ use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::arrival::RateRamp;
+use crate::report::{elastic_fabric, percentile_us, Obj};
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -104,17 +104,10 @@ impl TenantWorkload {
     }
 }
 
-/// Elastic fabric: QP pool and MR cache on, like the churn suite, but
-/// with enough NIC lanes that per-tenant fairness is decided by the
-/// receiver's QP scheduler, not by which NIC lane a connection happens
-/// to share.
-fn elastic_fabric() -> FabricConfig {
-    let mut fc = FabricConfig::default();
-    fc.qpool.enabled = true;
-    fc.mr_cache.enabled = true;
-    fc.nic_lanes = 6;
-    fc
-}
+/// NIC lanes per node on the elastic fabric: enough that per-tenant
+/// fairness is decided by the receiver's QP scheduler, not by which NIC
+/// lane a connection happens to share.
+const NIC_LANES: usize = 6;
 
 /// Mean inter-request gap for mix-scenario sessions (virtual ns).
 /// Open-loop pacing: tenants are latency-sensitive clients, and paced
@@ -170,20 +163,6 @@ fn share_snapshot_ns(victim_reqs: u64) -> u64 {
 /// keeps thread→lane assignment tracking the server's AQP grants.
 const CLIENT_SCHED_INTERVAL: Duration = Duration::from_micros(100);
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
-
-/// Jain's fairness index over a slice (mirror of the scheduler-side
-/// definition, applied to bench-side throughput figures).
-fn jains(xs: &[f64]) -> f64 {
-    flock_core::sched::jains_index(xs.iter().copied())
-}
-
 // ---------------------------------------------------------------------
 // Scenarios 1 + 2: protocol mix through the gateway
 // ---------------------------------------------------------------------
@@ -228,7 +207,7 @@ pub struct MixOutcome {
 /// same offered load over memcached-text edge sessions.
 pub fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_s: f64, set_ratio: f64) -> MixOutcome {
     let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
+        let domain = Arc::new(FlockDomain::new(elastic_fabric(NIC_LANES)));
         let server_node = domain.add_node(&format!("{label}-srv"));
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 2;
@@ -348,11 +327,9 @@ pub fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_s: f64,
                 completed,
             });
         }
-        let tputs: Vec<f64> = stats.iter().map(|s| s.tput_ops_per_ms).collect();
-        let comps: Vec<f64> = stats.iter().map(|s| s.completed as f64).collect();
         MixOutcome {
-            jains_tput: jains(&tputs),
-            jains_completed: jains(&comps),
+            jains_tput: jains_index(stats.iter().map(|s| s.tput_ops_per_ms)),
+            jains_completed: jains_index(stats.iter().map(|s| s.completed as f64)),
             tenants: stats,
             store_keys,
             handovers: 0,
@@ -444,7 +421,7 @@ type InterferenceRun = (Vec<u64>, u64, u64, usize, usize, u64, u64);
 
 fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
     let (run, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
+        let domain = Arc::new(FlockDomain::new(elastic_fabric(NIC_LANES)));
         let server_node = domain.add_node("ten-int-srv");
         let mut scfg = ServerConfig::default();
         // Four dispatch workers for the four connections (three victim
@@ -696,7 +673,7 @@ pub fn run_tenant_suite(quick: bool, log: bool) -> String {
     let w = TenantWorkload::preset(quick);
     if log {
         eprintln!(
-            "bench_tenant: zipf mix ({} tenants x {} sessions x {} reqs)...",
+            "bench tenant: zipf mix ({} tenants x {} sessions x {} reqs)...",
             w.tenants, w.sessions_per_tenant, w.reqs_per_session
         );
     }
@@ -706,7 +683,7 @@ pub fn run_tenant_suite(quick: bool, log: bool) -> String {
             "  -> jains(tput) {:.3}, jains(completed) {:.3}, {} store keys",
             zipf.jains_tput, zipf.jains_completed, zipf.store_keys
         );
-        eprintln!("bench_tenant: hot-key storm...");
+        eprintln!("bench tenant: hot-key storm...");
     }
     let hot = run_hot_key_storm(w);
     if log {
@@ -715,7 +692,7 @@ pub fn run_tenant_suite(quick: bool, log: bool) -> String {
             hot.jains_tput, hot.jains_completed
         );
         eprintln!(
-            "bench_tenant: interference ({} victims vs {} aggressor sessions, cap {})...",
+            "bench tenant: interference ({} victims vs {} aggressor sessions, cap {})...",
             w.victims, w.aggr_sessions, w.aggr_cap
         );
     }
@@ -740,29 +717,26 @@ pub fn run_tenant_suite(quick: bool, log: bool) -> String {
     render_json(quick, w, &zipf, &hot, &intf)
 }
 
-fn render_mix(j: &mut String, name: &str, m: &MixOutcome, trailing_comma: bool) {
-    let _ = writeln!(j, "  \"{name}\": {{");
-    j.push_str("    \"tenants\": [\n");
-    for (i, t) in m.tenants.iter().enumerate() {
-        let comma = if i + 1 < m.tenants.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "      {{ \"tenant\": {}, \"ops\": {}, \"tput_ops_per_ms\": {:.2}, \"median_us\": {:.2}, \"p99_us\": {:.2}, \"completed\": {} }}{comma}",
-            t.tenant, t.ops, t.tput_ops_per_ms, t.median_us, t.p99_us, t.completed
-        );
-    }
-    j.push_str("    ],\n");
-    let _ = writeln!(j, "    \"jains_tput\": {:.3},", m.jains_tput);
-    let _ = writeln!(j, "    \"jains_completed\": {:.3},", m.jains_completed);
-    let _ = writeln!(j, "    \"store_keys\": {},", m.store_keys);
-    let _ = writeln!(j, "    \"handovers\": {},", m.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", m.tasks);
-    j.push_str(if trailing_comma { "  },\n" } else { "  }\n" });
+fn mix_json(m: &MixOutcome) -> Obj {
+    let tenants = m.tenants.iter().map(|t| {
+        Obj::new()
+            .int("tenant", t.tenant)
+            .int("ops", t.ops)
+            .float("tput_ops_per_ms", t.tput_ops_per_ms, 2)
+            .float("median_us", t.median_us, 2)
+            .float("p99_us", t.p99_us, 2)
+            .int("completed", t.completed)
+    });
+    Obj::new()
+        .rows("tenants", tenants)
+        .float("jains_tput", m.jains_tput, 3)
+        .float("jains_completed", m.jains_completed, 3)
+        .int("store_keys", m.store_keys)
+        .int("handovers", m.handovers)
+        .int("tasks", m.tasks)
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
+/// Render the suite's JSON document.
 pub fn render_json(
     quick: bool,
     w: TenantWorkload,
@@ -770,44 +744,37 @@ pub fn render_json(
     hot: &MixOutcome,
     intf: &InterferenceOutcome,
 ) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-tenant/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    let _ = writeln!(j, "  \"seed\": {},", w.seed);
-    let _ = writeln!(j, "  \"sessions_per_tenant\": {},", w.sessions_per_tenant);
-    let _ = writeln!(j, "  \"reqs_per_session\": {},", w.reqs_per_session);
-    let _ = writeln!(j, "  \"zipf_keys\": {},", w.keys);
-    render_mix(&mut j, "zipf_mix", zipf, true);
-    render_mix(&mut j, "hot_key_storm", hot, true);
-    j.push_str("  \"interference\": {\n");
-    let _ = writeln!(j, "    \"victims\": {},", intf.victims);
-    let _ = writeln!(j, "    \"victim_reqs\": {},", w.victim_reqs);
-    let _ = writeln!(
-        j,
-        "    \"victim_ramp_gaps_ns\": [{:.0}, {:.0}, {:.0}],",
-        intf.victim_ramp_gaps_ns[0], intf.victim_ramp_gaps_ns[1], intf.victim_ramp_gaps_ns[2]
-    );
-    let _ = writeln!(j, "    \"victim_ops\": {},", intf.victim_ops);
-    let _ = writeln!(j, "    \"aggr_sessions\": {},", intf.aggr_sessions);
-    let _ = writeln!(j, "    \"max_aqp\": {},", intf.max_aqp);
-    let _ = writeln!(j, "    \"aggr_cap\": {},", intf.aggr_cap);
-    let _ = writeln!(j, "    \"baseline_p99_us\": {:.2},", intf.baseline_p99_us);
-    let _ = writeln!(j, "    \"uncapped_p99_us\": {:.2},", intf.uncapped_p99_us);
-    let _ = writeln!(j, "    \"capped_p99_us\": {:.2},", intf.capped_p99_us);
-    let _ = writeln!(j, "    \"uncapped_ratio\": {:.3},", intf.uncapped_ratio);
-    let _ = writeln!(j, "    \"capped_ratio\": {:.3},", intf.capped_ratio);
-    let _ = writeln!(j, "    \"uncapped_victim_lanes\": {},", intf.uncapped_victim_lanes);
-    let _ = writeln!(j, "    \"uncapped_aggr_lanes\": {},", intf.uncapped_aggr_lanes);
-    let _ = writeln!(j, "    \"capped_victim_lanes\": {},", intf.capped_victim_lanes);
-    let _ = writeln!(j, "    \"capped_aggr_lanes\": {},", intf.capped_aggr_lanes);
-    let _ = writeln!(j, "    \"aggr_ops_uncapped\": {},", intf.aggr_ops_uncapped);
-    let _ = writeln!(j, "    \"aggr_ops_capped\": {},", intf.aggr_ops_capped);
-    let _ = writeln!(j, "    \"handovers\": {},", intf.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", intf.tasks);
-    j.push_str("  }\n");
-    j.push_str("}\n");
-    j
+    Obj::doc("flock-bench-tenant/v1", quick)
+        .int("payload_bytes", w.payload)
+        .int("seed", w.seed)
+        .int("sessions_per_tenant", w.sessions_per_tenant)
+        .int("reqs_per_session", w.reqs_per_session)
+        .int("zipf_keys", w.keys)
+        .obj("zipf_mix", mix_json(zipf))
+        .obj("hot_key_storm", mix_json(hot))
+        .obj(
+            "interference",
+            Obj::new()
+                .int("victims", intf.victims)
+                .int("victim_reqs", w.victim_reqs)
+                .floats("victim_ramp_gaps_ns", &intf.victim_ramp_gaps_ns, 0)
+                .int("victim_ops", intf.victim_ops)
+                .int("aggr_sessions", intf.aggr_sessions)
+                .int("max_aqp", intf.max_aqp)
+                .int("aggr_cap", intf.aggr_cap)
+                .float("baseline_p99_us", intf.baseline_p99_us, 2)
+                .float("uncapped_p99_us", intf.uncapped_p99_us, 2)
+                .float("capped_p99_us", intf.capped_p99_us, 2)
+                .float("uncapped_ratio", intf.uncapped_ratio, 3)
+                .float("capped_ratio", intf.capped_ratio, 3)
+                .int("uncapped_victim_lanes", intf.uncapped_victim_lanes)
+                .int("uncapped_aggr_lanes", intf.uncapped_aggr_lanes)
+                .int("capped_victim_lanes", intf.capped_victim_lanes)
+                .int("capped_aggr_lanes", intf.capped_aggr_lanes)
+                .int("aggr_ops_uncapped", intf.aggr_ops_uncapped)
+                .int("aggr_ops_capped", intf.aggr_ops_capped)
+                .int("handovers", intf.handovers)
+                .int("tasks", intf.tasks),
+        )
+        .render()
 }

@@ -1,6 +1,6 @@
-//! Two runs of the churn suite must render byte-identical JSON — the
-//! property CI's bench-churn smoke job diffs for, and what makes
-//! `BENCH_churn.json` reviewable: a diff in the checked-in file always
+//! Two runs of the churn suite must render byte-identical JSON, and that
+//! JSON must match the checked-in quick baseline
+//! (`golden/churn.quick.json`) — so a diff in `BENCH_churn.json` always
 //! means a code change, never scheduling noise.
 
 use flock_bench::churn::{run_churn_load, run_churn_suite, run_storm, ChurnWorkload};
@@ -10,9 +10,10 @@ fn quick_suite_is_byte_identical_across_runs() {
     let a = run_churn_suite(true, false);
     let b = run_churn_suite(true, false);
     assert_eq!(a, b, "churn suite must be deterministic");
-    assert!(
-        a.contains("\"schema\": \"flock-bench-churn/v1\""),
-        "rendered JSON must carry the schema tag CI greps for"
+    assert_eq!(
+        a,
+        include_str!("../golden/churn.quick.json"),
+        "quick suite drifted from its golden file"
     );
 }
 

@@ -1,6 +1,6 @@
-//! Two runs of the crossover suite must render byte-identical JSON —
-//! the property CI's bench-onesided smoke job diffs for, and what makes
-//! `BENCH_onesided.json` reviewable: a diff in the checked-in file
+//! Two runs of the crossover suite must render byte-identical JSON, and
+//! that JSON must match the checked-in quick baseline
+//! (`golden/onesided.quick.json`) — so a diff in `BENCH_onesided.json`
 //! always means a code change, never scheduling noise.
 
 use flock_bench::onesided::run_onesided_suite;
@@ -10,8 +10,9 @@ fn quick_suite_is_byte_identical_across_runs() {
     let a = run_onesided_suite(true, false);
     let b = run_onesided_suite(true, false);
     assert_eq!(a, b, "onesided suite must be deterministic");
-    assert!(
-        a.contains("\"schema\": \"flock-bench-onesided/v1\""),
-        "rendered JSON must carry the schema tag CI greps for"
+    assert_eq!(
+        a,
+        include_str!("../golden/onesided.quick.json"),
+        "quick suite drifted from its golden file"
     );
 }

@@ -1,23 +1,19 @@
-//! Two runs of the same seeded virtual-time sweep must render
-//! byte-identical JSON — the property CI's bench-scale smoke job diffs
-//! for, and the foundation of `BENCH_scale.json` being reviewable: a
-//! diff in the checked-in file always means a code change, never
-//! scheduling noise.
+//! Two runs of the seeded virtual-time sweep must render byte-identical
+//! JSON, and that JSON must match the checked-in quick baseline
+//! (`golden/scale.quick.json`) — so a diff in `BENCH_scale.json` always
+//! means a code change, never scheduling noise, and a code change that
+//! moves any number shows up here first.
 
-use flock_bench::scale::{run_sweep, Workload};
+use flock_bench::scale::run_scale_suite;
 
 #[test]
 fn quick_sweep_is_byte_identical_across_runs() {
-    let w = Workload {
-        reqs_per_thread: 4,
-        window: 2,
-        payload: 16,
-    };
-    let a = run_sweep(true, w, false);
-    let b = run_sweep(true, w, false);
+    let a = run_scale_suite(true, false);
+    let b = run_scale_suite(true, false);
     assert_eq!(a, b, "virtual-time sweep must be deterministic");
-    assert!(
-        a.contains("\"schema\": \"flock-bench-scale/v1\""),
-        "rendered JSON must carry the schema tag CI greps for"
+    assert_eq!(
+        a,
+        include_str!("../golden/scale.quick.json"),
+        "quick sweep drifted from its golden file"
     );
 }

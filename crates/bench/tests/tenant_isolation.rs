@@ -6,7 +6,7 @@
 //!
 //! Runs the same deterministic virtual-time scenarios as
 //! `BENCH_tenant.json` (quick preset), so a failure here reproduces
-//! exactly under `cargo run -p flock-bench --bin bench_tenant -- --quick`.
+//! exactly under `scripts/bench.sh tenant --quick`.
 
 use flock_bench::tenant::{run_hot_key_storm, run_interference, run_zipf_mix, TenantWorkload};
 

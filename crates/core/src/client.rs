@@ -33,6 +33,8 @@ use crate::tcq::{Outcome, Tcq};
 pub const MEM_SCRATCH: usize = 4096;
 /// Maximum registered threads per connection handle.
 pub const MAX_THREADS: usize = 256;
+/// Signal every Nth request write (selective signaling, paper §7).
+const SIGNAL_EVERY: u64 = 64;
 
 /// Client-side configuration for a connection handle.
 #[derive(Debug, Clone)]
@@ -49,8 +51,6 @@ pub struct HandleConfig {
     pub sched_interval: Duration,
     /// Run the sender-side thread scheduler (ablation switch).
     pub auto_thread_sched: bool,
-    /// Signal every Nth RDMA write (selective signaling, paper §7).
-    pub signal_every: u64,
     /// Default timeout for blocking waits.
     pub timeout: Duration,
     /// Materialize all `n_qps` lanes during `fl_connect` instead of
@@ -89,7 +89,6 @@ impl Default for HandleConfig {
             coalescing: true,
             sched_interval: Duration::from_millis(10),
             auto_thread_sched: true,
-            signal_every: 64,
             timeout: Duration::from_secs(10),
             eager_qps: false,
             mem_threads: MAX_THREADS,
@@ -1539,7 +1538,7 @@ fn flush_parts(
             addr: qp.req_remote.addr + reservation.offset as u64,
         },
     );
-    if !n.is_multiple_of(inner.cfg.signal_every) {
+    if !n.is_multiple_of(SIGNAL_EVERY) {
         wr = wr.unsignaled();
     }
     qp.qp.post_send(wr)?;

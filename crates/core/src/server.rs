@@ -26,6 +26,11 @@ use crate::ring::{RingConsumer, RingLayout, RingProducer};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
 
+/// Receive buffers posted per QP for credit-renewal immediates.
+const IMM_RECV_DEPTH: usize = 64;
+/// Signal every Nth response write.
+const SIGNAL_EVERY: u64 = 64;
+
 /// Server configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -35,10 +40,6 @@ pub struct ServerConfig {
     pub sched: QpSchedulerConfig,
     /// QP redistribution interval.
     pub sched_interval: Duration,
-    /// Receive buffers posted per QP for credit-renewal immediates.
-    pub imm_recv_depth: usize,
-    /// Signal every Nth response write.
-    pub signal_every: u64,
     /// Blocking-wait timeout.
     pub timeout: Duration,
     /// Dispatcher worker threads. Each owns a disjoint set of lanes
@@ -67,8 +68,6 @@ impl Default for ServerConfig {
             ring_capacity: 1 << 16,
             sched: QpSchedulerConfig::default(),
             sched_interval: Duration::from_millis(10),
-            imm_recv_depth: 64,
-            signal_every: 64,
             timeout: Duration::from_secs(10),
             dispatch_threads: auto_dispatch_threads(),
         }
@@ -530,7 +529,7 @@ fn build_server_lane(
     // response producer lays messages out in — not our request ring's.
     let staging = inner.node.acquire_mr(response_ring.capacity, Access::LOCAL);
     // Post receive slots for credit-renewal write-with-imm.
-    for _ in 0..inner.cfg.imm_recv_depth {
+    for _ in 0..IMM_RECV_DEPTH {
         qp.post_recv(RecvWr {
             wr_id: WrId(0),
             local: Sge {
@@ -1129,7 +1128,7 @@ fn flush_response<B: AsRef<[u8]>>(
             addr: qp.resp_remote.addr + reservation.offset as u64,
         },
     );
-    if !nwrite.is_multiple_of(inner.cfg.signal_every) {
+    if !nwrite.is_multiple_of(SIGNAL_EVERY) {
         wr = wr.unsignaled();
     }
     qp.qp.post_send(wr)?;

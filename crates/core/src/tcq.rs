@@ -136,8 +136,8 @@ pub struct Tcq<T> {
     tail: CachePadded<AtomicPtr<Node<T>>>,
     batch_limit: usize,
     /// Recycle nodes and batch scratch through the thread-local pool
-    /// (`sync::pool`). Defaults to on; the `alloc-per-node` feature or
-    /// [`Tcq::with_pooling`] restores the historical Box-per-join path.
+    /// (`sync::pool`). Defaults to on; [`Tcq::with_pooling`] restores
+    /// the historical Box-per-join path.
     pooled: bool,
     batches: AtomicU64,
     requests: AtomicU64,
@@ -160,20 +160,17 @@ impl<T> Default for Tcq<T> {
 }
 
 impl<T> Tcq<T> {
-    /// Create a TCQ with the given per-batch request bound (`>= 1`).
-    ///
-    /// Node/scratch pooling is on unless the `alloc-per-node` escape
-    /// hatch feature is enabled.
+    /// Create a TCQ with the given per-batch request bound (`>= 1`),
+    /// with node/scratch pooling on.
     pub fn new(batch_limit: usize) -> Tcq<T> {
-        Self::with_pooling(batch_limit, !cfg!(feature = "alloc-per-node"))
+        Self::with_pooling(batch_limit, true)
     }
 
     /// Create a TCQ with explicit control over hot-path pooling.
     ///
     /// `pooled = false` restores the historical allocation behavior (one
     /// `Box` per `join`, fresh batch `Vec`s per `collect`); it exists for
-    /// the `alloc-per-node` escape hatch and for apples-to-apples
-    /// benchmarking of the two paths.
+    /// apples-to-apples benchmarking of the two paths.
     pub fn with_pooling(batch_limit: usize, pooled: bool) -> Tcq<T> {
         assert!(batch_limit >= 1);
         Tcq {

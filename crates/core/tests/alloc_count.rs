@@ -10,10 +10,6 @@
 //! `#[test]` functions would pick up harness noise. Sequential scenarios
 //! inside one test keep the counter honest.
 
-// The escape hatch restores Box-per-join allocation, so the steady-state
-// assertion only holds on the default (pooled) configuration.
-#![cfg(not(feature = "alloc-per-node"))]
-
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -212,8 +212,8 @@ fn close_of_a_spread_connection_quiesces_while_a_survivor_runs() {
         // Elastic pools on: the closed connection's QPs go back to the
         // node instead of being destroyed.
         let mut fc = FabricConfig::default();
-        fc.qpool.enabled = true;
-        fc.mr_cache.enabled = true;
+        fc.qpool.capacity = 1024;
+        fc.mr_cache.capacity = 4096;
         let domain = FlockDomain::new(fc);
         // Two workers, two two-lane connections: every worker owns a
         // lane of each connection, so both must quiesce for the close.

@@ -628,8 +628,8 @@ fn graceful_close_quiesces_and_recycles() {
     // Elastic pools on: a closed connection's QPs and rings go back to
     // the node instead of being destroyed.
     let mut fc = FabricConfig::default();
-    fc.qpool.enabled = true;
-    fc.mr_cache.enabled = true;
+    fc.qpool.capacity = 1024;
+    fc.mr_cache.capacity = 4096;
     let domain = FlockDomain::new(fc);
     let server = echo_server(&domain, "s-close", ServerConfig::default());
     let client = domain.add_node("c-close");

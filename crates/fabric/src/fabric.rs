@@ -252,7 +252,7 @@ impl Node {
 
     /// Release a leased QP: reset it (bumping its lease epoch so stale
     /// queued work is dropped by the engine) and park it in the pool;
-    /// destroy it when the pool is disabled, full, or the transport is
+    /// destroy it when the pool is off, full, or the transport is
     /// not RC. Charges [`CostModel::ctrl_reset_qp_ns`] — the
     /// modify-to-RESET verb — never the creation cost.
     ///
@@ -275,7 +275,7 @@ impl Node {
     /// Cold-create one pooled RC QP (bound to the placeholder CQ) and
     /// park it. Used by the background refill task and by explicit
     /// pre-warming; charges the full creation cost to the caller.
-    /// Returns `false` if the pool refused it (disabled or full).
+    /// Returns `false` if the pool refused it (off or full).
     pub fn refill_one_qp(&self) -> bool {
         let qp = self.create_qp(Transport::Rc, &self.parked_cq, &self.parked_cq);
         clock::charge(self.cost.ctrl_create_qp_ns);
@@ -320,7 +320,7 @@ impl Node {
     /// Release a region acquired via [`Node::acquire_mr`]: park it for
     /// reuse, deregistering (and charging
     /// [`CostModel::ctrl_dereg_mr_ns`]) whatever the cache evicts — the
-    /// region itself when the cache is disabled.
+    /// region itself when the cache is off.
     pub fn release_mr(&self, mr: &Arc<MemoryRegion>) {
         let evicted = self.mr_cache.lock().put(Arc::clone(mr));
         for victim in evicted {
@@ -336,7 +336,7 @@ pub struct Fabric {
     inner: Arc<FabricInner>,
     engines: Mutex<Vec<(Sender<NicCmd>, TaskHandle)>>,
     /// Background QP-pool refill tasks (one per node, only when the pool
-    /// is enabled with a low watermark) and their stop flag.
+    /// has a capacity and a low watermark) and their stop flag.
     refillers: Mutex<Vec<TaskHandle>>,
     refill_stop: Arc<AtomicBool>,
 }
@@ -398,7 +398,7 @@ impl Fabric {
             self.engines.lock().push((tx, handle));
         }
         let qcfg = &self.inner.config.qpool;
-        if qcfg.enabled && qcfg.low_watermark > 0 {
+        if qcfg.capacity > 0 && qcfg.low_watermark > 0 {
             // Low-watermark background refill, through the clock seam so
             // creation cost is charged to this task's (virtual) time —
             // off every client's connect path.

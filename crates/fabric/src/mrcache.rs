@@ -29,22 +29,12 @@ use crate::cache::ConnCache;
 use crate::mr::{Access, MemoryRegion};
 
 /// Configuration for a node's MR registration cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MrCacheConfig {
-    /// Master switch. Disabled (the default), every acquire registers
-    /// cold and every release deregisters.
-    pub enabled: bool,
-    /// Maximum parked regions retained across all layouts.
+    /// Maximum parked regions retained across all layouts. `0` (the
+    /// default) turns the cache off: every acquire registers cold and
+    /// every release deregisters.
     pub capacity: usize,
-}
-
-impl Default for MrCacheConfig {
-    fn default() -> Self {
-        MrCacheConfig {
-            enabled: false,
-            capacity: 4096,
-        }
-    }
 }
 
 /// Layout key: regions are interchangeable iff length and rights match.
@@ -112,7 +102,7 @@ impl MrCache {
     /// success the region leaves the cache and a hit is recorded; on
     /// `None` a miss is recorded (the caller registers cold).
     pub(crate) fn take(&mut self, len: usize, access: Access) -> Option<Arc<MemoryRegion>> {
-        if !self.cfg.enabled {
+        if self.cfg.capacity == 0 {
             return None;
         }
         let layout: Layout = (len, access.bits());
@@ -139,10 +129,10 @@ impl MrCache {
 
     /// Park a region for reuse. Returns the regions evicted to enforce
     /// capacity — the caller owns their teardown (deregistration and
-    /// cost accounting). When the cache is disabled the offered region
-    /// itself comes back as the single "eviction".
+    /// cost accounting). When the cache is off the offered region itself
+    /// comes back as the single "eviction".
     pub(crate) fn put(&mut self, mr: Arc<MemoryRegion>) -> Vec<Arc<MemoryRegion>> {
-        if !self.cfg.enabled {
+        if self.cfg.capacity == 0 {
             return vec![mr];
         }
         let key = mr.lkey().0 as u64;
@@ -175,10 +165,7 @@ mod tests {
     use crate::mr::MrTable;
 
     fn cache(capacity: usize) -> MrCache {
-        MrCache::new(MrCacheConfig {
-            enabled: true,
-            capacity,
-        })
+        MrCache::new(MrCacheConfig { capacity })
     }
 
     #[test]
@@ -233,7 +220,7 @@ mod tests {
         let back = c.put(mr);
         assert_eq!(back.len(), 1);
         assert!(c.is_empty());
-        // Disabled: stats stay silent.
+        // Off (capacity 0): stats stay silent.
         assert_eq!(c.hits() + c.misses(), 0);
     }
 

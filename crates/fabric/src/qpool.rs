@@ -31,10 +31,9 @@ use crate::qp::Qp;
 /// Configuration for a node's QP pool.
 #[derive(Debug, Clone)]
 pub struct QpPoolConfig {
-    /// Master switch. Disabled (the default), every lease cold-creates
-    /// and every release destroys — the un-elastic baseline.
-    pub enabled: bool,
-    /// Maximum recycled QPs retained; releases beyond this destroy.
+    /// Maximum recycled QPs retained; releases beyond this destroy. `0`
+    /// (the default) turns the pool off: every lease cold-creates and
+    /// every release destroys — the un-elastic baseline.
     pub capacity: usize,
     /// Background refill threshold: when the free list drops below this,
     /// the node's refill task cold-creates QPs into the pool (off the
@@ -49,8 +48,7 @@ pub struct QpPoolConfig {
 impl Default for QpPoolConfig {
     fn default() -> Self {
         QpPoolConfig {
-            enabled: false,
-            capacity: 1024,
+            capacity: 0,
             low_watermark: 0,
             refill_batch: 8,
             refill_interval_ns: 50_000,
@@ -95,10 +93,9 @@ pub struct QpPool {
 impl QpPool {
     /// Build a pool from its configuration.
     pub fn new(cfg: QpPoolConfig) -> QpPool {
-        let cap = if cfg.enabled { cfg.capacity.max(1) } else { 0 };
         QpPool {
+            free: Mutex::new(Vec::with_capacity(cfg.capacity)),
             cfg,
-            free: Mutex::new(Vec::with_capacity(cap)),
             stats: QpPoolStats::default(),
         }
     }
@@ -125,19 +122,13 @@ impl QpPool {
 
     /// Pop the most recently released QP, if any. Allocation-free.
     pub(crate) fn take(&self) -> Option<Arc<Qp>> {
-        if !self.cfg.enabled {
-            return None;
-        }
         self.free.lock().pop()
     }
 
     /// Offer a reset QP back to the pool. Returns `false` (caller must
-    /// destroy) when the pool is disabled or full. Allocation-free: the
-    /// free list never grows past its preallocated capacity.
+    /// destroy) when the pool is off or full. Allocation-free: the free
+    /// list never grows past its preallocated capacity.
     pub(crate) fn put(&self, qp: Arc<Qp>) -> bool {
-        if !self.cfg.enabled {
-            return false;
-        }
         let mut free = self.free.lock();
         if free.len() >= self.cfg.capacity {
             return false;
@@ -148,7 +139,7 @@ impl QpPool {
 
     /// Whether the refill task should create more QPs right now.
     pub(crate) fn below_watermark(&self) -> bool {
-        self.cfg.enabled
+        self.cfg.capacity > 0
             && self.cfg.low_watermark > 0
             && self.free.lock().len() < self.cfg.low_watermark
     }

@@ -697,9 +697,7 @@ fn multi_lane_engine_preserves_per_qp_fifo() {
 
 fn elastic_fabric() -> Fabric {
     let mut cfg = FabricConfig::default();
-    cfg.qpool.enabled = true;
     cfg.qpool.capacity = 8;
-    cfg.mr_cache.enabled = true;
     cfg.mr_cache.capacity = 8;
     Fabric::new(cfg)
 }
